@@ -371,28 +371,6 @@ def poly_roots_mod_prime_power(coeffs, p: int, v: int = 1):
     return sorted(hensel_lift(coeffs, p, r, v) for r in base_roots)
 
 
-def mobius_sieve(limit: int):
-    """mu(n) for n = 0..limit (mu(0) = 0), by a linear sieve."""
-    mu = [0] * (limit + 1)
-    if limit >= 1:
-        mu[1] = 1
-    primes = []
-    is_comp = bytearray(limit + 1)
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > limit:
-                break
-            is_comp[i * p] = 1
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
-
-
 def divisors(n: int):
     """Sorted divisors of n."""
     small, large = [], []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import io
 import json
 import os
 import random
@@ -55,12 +56,17 @@ from .zeta import (
     f_eval,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+
+class SchemaMismatch(Exception):
+    """A report written under a payload schema this version does not read."""
+
 
 DOMAIN_ERRORS = (
     ThinClass, Unreachable, EmptyWindow, PoleAtOne, DivergesAtOne,
     PrecisionExhausted, FactorizationOverflow, BoundaryTooCloseToZero,
-    UnsupportedAlpha, PreconditionViolated,
+    UnsupportedAlpha, PreconditionViolated, SchemaMismatch,
 )
 
 
@@ -189,13 +195,11 @@ def _emit(args, report):
 
 
 def _write_csv(path, header, rows):
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
-    with os.fdopen(fd, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue().encode())
 
 
 def _cache_from(args):
@@ -249,11 +253,8 @@ def cmd_decompose(args, seed):
     alpha = _parse_alpha(args)
     series, prefactor = _series_for_structure(f, alpha)
     dec = decompose(series)
-    cert = detect_pl_form(series, args.max_conductor)
-    config = {
-        "alpha": _alpha_config(alpha), "f": _format_f(f),
-        "q": f.period, "max_conductor": args.max_conductor,
-    }
+    cert = detect_pl_form(series, dec)
+    config = {"alpha": _alpha_config(alpha), "f": _format_f(f), "q": f.period}
     results = {
         "prefactor": prefactor,
         "verified": dec.verified,
@@ -461,8 +462,36 @@ def cmd_zeros(args, seed):
 
 def cmd_verify(args, seed):
     """Recompute a random sample of a report's rows (default 1%, at least
-    one row) and fail loudly on any mismatch."""
+    one row) and fail loudly on any mismatch.
+
+    A report of another schema is a domain error (exit 2); a payload that
+    is not a report, or lacks the fields its command needs, is malformed
+    input (exit 1)."""
     payload = json.loads(Path(args.report).read_text())
+    if not isinstance(payload, dict) or "schema" not in payload:
+        raise ValueError(f"{args.report} is not a ghzeta report: no schema field")
+    if payload["schema"] != SCHEMA_VERSION:
+        raise SchemaMismatch(
+            f"{args.report} has schema {payload['schema']!r}; "
+            f"this version reads schema {SCHEMA_VERSION}"
+        )
+    try:
+        checked, mismatches = _recheck(payload, args.fraction, seed)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        command = payload.get("command")
+        raise ValueError(f"malformed {command} report: {type(exc).__name__} {exc}") from exc
+
+    results = {"checked": checked, "mismatches": mismatches, "ok": not mismatches}
+    rep = make_report("verify", {"report": str(args.report), "fraction": args.fraction},
+                      results, seed)
+    if mismatches:
+        _emit(args, rep)
+        sys.exit(2)
+    return rep
+
+
+def _recheck(payload, fraction, seed):
+    """(rows checked, mismatching rows) for one report payload."""
     rng = random.Random(seed)
     command = payload.get("command")
     config = payload.get("config", {})
@@ -470,7 +499,7 @@ def cmd_verify(args, seed):
     checked, mismatches = 0, []
 
     def sample(rows):
-        k = max(1, int(len(rows) * args.fraction))
+        k = max(1, int(len(rows) * fraction))
         return rng.sample(list(rows), min(k, len(rows)))
 
     if command == "factor-ideals":
@@ -536,8 +565,7 @@ def cmd_verify(args, seed):
     elif command in ("decompose", "classify"):
         ns = argparse.Namespace(
             alpha=None, minpoly=None, interval=None, q=config["q"],
-            f=",".join(config["f"]), max_conductor=config.get("max_conductor"),
-            tmax=config.get("tmax", 30.0),
+            f=",".join(config["f"]), tmax=config.get("tmax", 30.0),
         )
         if config["alpha"]["kind"] == "rational":
             ns.alpha = config["alpha"]["value"]
@@ -550,14 +578,7 @@ def cmd_verify(args, seed):
             mismatches.append("results")
     else:
         raise ValueError(f"verify does not support command {command!r}")
-
-    results = {"checked": checked, "mismatches": mismatches, "ok": not mismatches}
-    rep = make_report("verify", {"report": str(args.report), "fraction": args.fraction},
-                      results, seed)
-    if mismatches:
-        _emit(args, rep)
-        sys.exit(2)
-    return rep
+    return checked, mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +609,6 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="L-function decomposition + P*L certificate")
     common(p)
-    p.add_argument("--max-conductor", type=int, default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("classify", help="zero/nonvanishing verdict for F")

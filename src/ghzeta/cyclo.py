@@ -6,9 +6,9 @@ reduces modulo the n-th cyclotomic polynomial, which makes equality exact
 even though the representation is redundant.  Orders are merged by lcm on
 demand, so values from different character groups mix freely.
 
-This is deliberately tiny: add/sub/mul/conjugate/equality and float
-realization are all the structure certificates need.  No division beyond
-rational scalars.
+This is deliberately tiny: add/sub/mul/conjugate/equality, a canonical
+form and float realization are all the structure certificates need.  No
+division beyond rational scalars.
 """
 
 from __future__ import annotations
@@ -166,6 +166,14 @@ class Cyclo:
         for i, c in enumerate(self.coeffs):
             out[(-i) % self.order] += c
         return Cyclo(self.order, tuple(out))
+
+    def canonical(self):
+        """The same value as the remainder modulo the cyclotomic polynomial,
+        dropped to order 1 when only the rational part is left."""
+        rem = _reduce_mod(list(self.coeffs), [Fraction(c) for c in cyclotomic_poly(self.order)])
+        if all(c == 0 for c in rem[1:]):
+            return Cyclo(1, rem[:1])
+        return Cyclo(self.order, rem + [Fraction(0)] * (self.order - len(rem)))
 
     # -- predicates --------------------------------------------------------
 

@@ -12,9 +12,8 @@ Three questions, all answered with exact arithmetic:
   the Saias-Weingartner criterion is the only way it can avoid zeros in
   sigma > 1.  A support class h mod r with r > 2 and (h,r) = 1 rules the
   form out immediately (the polynomial's least term forces both h and -h
-  to carry coefficients, hence r | 2); otherwise Moebius deconvolution
-  against every candidate character either produces an exactly verified
-  certificate or exhausts the conductor search space.
+  to carry coefficients, hence r | 2); otherwise the decomposition, which
+  is unique, decides: one term is the product form, two or more are not.
 
 All certificate arithmetic is exact: coefficients live in cyclotomic
 fields and verification is symbolic equality over one full period.
@@ -27,17 +26,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import PeriodicFunction, divisors, mobius_sieve
+from .arith import PeriodicFunction, divisors
 from .characters import DirichletCharacter, characters_mod, euler_phi
 from .cyclo import Cyclo
 
 IS_PL = "IsPL"
 NOT_PL = "NotPL"
-UNKNOWN = "Unknown"
 
 RESIDUE_OBSTRUCTION = "ResidueObstruction"
 DECONVOLUTION_CERTIFICATE = "DeconvolutionCertificate"
-SEARCH_EXHAUSTED = "SearchExhausted"
+MULTIPLE_CHARACTERS = "MultipleCharacters"
 
 VERDICT_INFINITE = "infinitely many zeros in sigma > 1"
 VERDICT_ZERO_FREE_FORM = "no zeros found; consistent with zero-free form"
@@ -229,7 +227,10 @@ class PLCertificate:
     character: DirichletCharacter | None = None
     obstruction: tuple | None = None  # (h, r) for the residue obstruction
     verification_period: int = 0
-    searched_conductors: int = 0
+    conductors: tuple = ()  # one per decomposition term when MultipleCharacters
+
+    # no conductor search runs; kept at 0 for readers of the former field
+    searched_conductors = 0
 
     def polynomial(self):
         return dict(self.polynomial_support)
@@ -251,84 +252,36 @@ def _support_obstruction(g: PeriodicFunction):
     return None
 
 
-def detect_pl_form(series, search_bound: int | None = None) -> PLCertificate:
+def detect_pl_form(series, decomposition: DecompositionResult | None = None) -> PLCertificate:
     """Decide whether the series is P(s) * L(s,chi).
 
-    IsPL certificates are verified exactly: the reconvolved coefficients
-    m -> sum_{n | m} a(n) chi(m/n) agree with the series on a full period
-    of both sides.  NotPL comes from the residue obstruction or from
-    exhausting all conductors up to the cap (the cap defaults to the
-    coefficient period, which covers every conductor that can occur).
+    The residue obstruction is tried first.  Otherwise the verdict is read
+    off the canonical decomposition (computed here unless passed in): it is
+    unique, so the series is a single product exactly when it has one term.
+    The IsPL certificate is that term, verified exactly by `decompose` over
+    a full common period, with coefficients in canonical form; NotPL lists
+    the conductors of the terms.
     """
     g = series.coeffs if isinstance(series, LiftedSeries) else series
-    P = g.period
-    cap = search_bound if search_bound is not None else P
-
     hit = _support_obstruction(g)
     if hit is not None:
         return PLCertificate(NOT_PL, RESIDUE_OBSTRUCTION, obstruction=hit)
 
-    searched = 0
-    for k in range(1, cap + 1):
-        for chi in _char_group(k):
-            if not chi.is_primitive():
-                continue
-            searched += 1
-            cert = _try_deconvolve(g, chi)
-            if cert is not None:
-                return cert
-    if cap >= P:
-        return PLCertificate(NOT_PL, SEARCH_EXHAUSTED, searched_conductors=cap)
-    return PLCertificate(UNKNOWN, SEARCH_EXHAUSTED, searched_conductors=cap)
-
-
-def _try_deconvolve(g: PeriodicFunction, chi: DirichletCharacter):
-    """a = b * (mu chi); accept iff a vanishes on (X/2, X] and the
-    reconvolution reproduces b exactly on a full common period."""
-    P = g.period
-    k = chi.modulus
-    X = 4 * k * P * P
-    mu = mobius_sieve(X)
-    b_vals = [None] + [_exact_coeff(g, m) for m in range(1, P + 1)]
-
-    def b_at(m):
-        return b_vals[(m - 1) % P + 1]
-
-    a: dict = {}
-    for n in range(1, X + 1):
-        total = Cyclo.zero()
-        for d in divisors(n):
-            if mu[d] == 0:
-                continue
-            ang = chi.angle(d)
-            if ang is None:
-                continue
-            term = b_at(n // d) * chi.cyclo(d)
-            total = total + (term if mu[d] == 1 else -term)
-        if not total.is_zero():
-            if n > X // 2:
-                return None  # support did not collapse; not this character
-            a[n] = total
-    if not a:
-        return None  # would mean b identically zero, excluded upstream
-
-    supp_lcm = 1
-    for n in a:
-        supp_lcm = lcm(supp_lcm, n)
-    V = lcm(P, k * supp_lcm)
-    for m in range(1, V + 1):
-        total = Cyclo.zero()
-        for n, c in a.items():
-            if m % n == 0:
-                total = total + c * chi.cyclo(m // n)
-        if not (total - b_at(m)).is_zero():
-            return None
+    dec = decomposition if decomposition is not None else decompose(series)
+    if len(dec.terms) > 1:
+        return PLCertificate(
+            NOT_PL,
+            MULTIPLE_CHARACTERS,
+            verification_period=dec.verification_period,
+            conductors=tuple(chi.modulus for chi in dec.characters),
+        )
+    (chi, poly), = dec.terms
     return PLCertificate(
         IS_PL,
         DECONVOLUTION_CERTIFICATE,
-        polynomial_support=tuple(sorted(a.items())),
+        polynomial_support=tuple((n, c.canonical()) for n, c in poly),
         character=chi,
-        verification_period=V,
+        verification_period=dec.verification_period,
     )
 
 
@@ -362,6 +315,8 @@ class VerdictReport:
             }
             if self.certificate.obstruction:
                 cert["obstruction"] = list(self.certificate.obstruction)
+            if self.certificate.conductors:
+                cert["conductors"] = list(self.certificate.conductors)
             if self.certificate.verdict == IS_PL:
                 cert["character_modulus"] = self.certificate.character.modulus
                 cert["polynomial"] = {
@@ -432,7 +387,8 @@ def nonvanishing_verdict(f: PeriodicFunction, alpha, zero_scan_tmax: float = 30.
             )
         else:
             evidence.append(
-                "no character up to the full conductor range admits a finite deconvolution"
+                f"the unique decomposition has {len(cert.conductors)} primitive-character "
+                f"terms (conductors {list(cert.conductors)}), so no P(s)L(s,chi) form exists"
             )
         evidence.append("a series that is not P(s)L(s,chi) vanishes somewhere in sigma > 1")
         return VerdictReport("rational", desc, VERDICT_INFINITE, tuple(evidence), cert, prefactor)

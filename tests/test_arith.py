@@ -11,7 +11,6 @@ from ghzeta.arith import (
     factorize,
     hensel_lift,
     is_prime,
-    mobius_sieve,
     poly_eval,
     poly_roots_mod_prime_power,
 )
@@ -154,9 +153,3 @@ def test_factor_cache_roundtrip(tmp_path):
     fresh = FactorCache(path)
     assert fresh.get(9998) == f1
     assert (path.read_text().strip().splitlines()) == ["9998,2^1 4999^1"]
-
-
-def test_mobius_sieve():
-    mu = mobius_sieve(30)
-    assert mu[1] == 1 and mu[2] == -1 and mu[4] == 0 and mu[6] == 1 and mu[30] == -1
-    assert sum(mu[d] for d in (1, 2, 3, 6)) == 0  # sum over divisors of 6

@@ -25,7 +25,7 @@ def test_eval_basic(tmp_path):
         tmp_path,
     )
     assert code == 0
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert abs(payload["results"]["value_re"] - math.pi**2 / 6) < 1e-10
     assert payload["results"]["error_bound"] < 1e-10
 
@@ -219,3 +219,51 @@ def test_cache_env_and_flag(tmp_path, monkeypatch):
     code, _ = run_cli(args, tmp_path)
     assert code == 0
     assert cache_file.exists() and cache_file.read_text().strip()
+
+
+def test_decompose_max_conductor_is_usage_error():
+    # the conductor search and its cap are gone: the flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--alpha", "1/3", "--f", "1", "--q", "1", "--max-conductor", "3"])
+    assert exc.value.code == 1
+
+
+def test_verify_rejects_other_schema(tmp_path, capsys):
+    code, payload = run_cli(["classify", "--alpha", "1/3", "--f", "1", "--q", "1"], tmp_path)
+    assert code == 0
+    payload["schema"] = 99
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    assert main(["verify", str(old), "--output", str(tmp_path / "v.json")]) == 2
+    assert "schema 99" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"command": "classify", "config": {}, "results": {}},
+    {"schema": 2, "command": "classify", "config": {}, "results": {}},
+    {"schema": 2, "command": "factor-ideals", "config": {"alpha": {}}, "results": {}},
+    [1, 2, 3],
+])
+def test_verify_malformed_report_is_usage_error(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["verify", str(bad), "--output", str(tmp_path / "v.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_write_csv_is_atomic(tmp_path, monkeypatch):
+    import ghzeta.cli as cli
+
+    target = tmp_path / "rows.csv"
+    cli._write_csv(target, ("a", "b"), [(1, 2)])
+    assert target.read_bytes() == b"a,b\r\n1,2\r\n"
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError):
+        cli._write_csv(target, ("a", "b"), [(3, 4)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
+    assert target.read_bytes() == b"a,b\r\n1,2\r\n"

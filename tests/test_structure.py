@@ -3,15 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ghzeta.arith import PeriodicFunction
 from ghzeta.cyclo import Cyclo
 from ghzeta.structure import (
     IS_PL,
+    MULTIPLE_CHARACTERS,
     NOT_PL,
     RESIDUE_OBSTRUCTION,
-    UNKNOWN,
     RationalShift,
     UnsupportedAlpha,
     VERDICT_INFINITE,
@@ -152,12 +152,6 @@ def test_detect_reconvolution_is_exact():
         assert total == Cyclo.from_rational(re, im)
 
 
-def test_detect_unknown_below_cap():
-    f = PeriodicFunction(2, (1, -1))
-    cert = detect_pl_form(lift_rational(f, RationalShift(1, 2)), search_bound=2)
-    assert cert.verdict == UNKNOWN
-
-
 @given(
     st.integers(min_value=0, max_value=11),
     st.sampled_from([3, 4, 5, 6, 7]),
@@ -179,6 +173,117 @@ def test_obstructed_support_never_is_pl(seed, r, width):
     series = PeriodicFunction(r * width, tuple(values))
     cert = detect_pl_form(series)
     assert cert.verdict != IS_PL
+
+
+# Primitive characters of small conductor as value tables built without
+# ghzeta: Kronecker symbols for the real ones, chi(2) = i^j mod 5.
+_I_POW = (1, 1j, -1, -1j)
+_DLOG5 = {1: 0, 2: 1, 4: 2, 3: 3}
+PLANT_CHARACTERS = [
+    (1,),
+    (0, 1, -1),
+    (0, 1, 0, -1),
+    *(tuple(0 if m == 0 else _I_POW[j * _DLOG5[m] % 4] for m in range(5)) for j in (1, 2, 3)),
+    (0, 1, 0, -1, 0, -1, 0, 1),
+    (0, 1, 0, 1, 0, -1, 0, -1),
+]
+
+
+def planted_f(chi, poly, alpha):
+    """f with F(s, f, alpha) = P(s) L(s, chi) up to the lift prefactor, for
+    alpha in {1, 1/2}; f(n) = b(n + 1) or b(2n + 1), b = poly * chi."""
+    k = len(chi)
+    period = k * math.lcm(*poly)
+    b = [sum(a * chi[(m // n) % k] for n, a in poly.items() if m % n == 0)
+         for m in range(1, period + 1)]
+    if alpha == 1:
+        return PeriodicFunction(period, tuple(b))
+    assert not any(b[1::2]), "alpha = 1/2 needs b to vanish on even m"
+    return PeriodicFunction(period // 2, tuple(b[0::2]))
+
+
+def unit_twist_refutes(g):
+    """True when g (one period, g[m - 1] = g(m)) cannot be P(s)L(s,chi): a
+    prime p beyond the support of P gives g(p m) = chi(p) g(m), and primes
+    meet every unit class u mod the period, so g(u m) must be one fixed
+    unimodular multiple of g(m)."""
+    P = len(g)
+    for u in range(2, P):
+        if math.gcd(u, P) != 1:
+            continue
+        pairs = [(g[m - 1], g[u * m % P - 1]) for m in range(1, P + 1)]
+        ratios = {b / a for a, b in pairs if a}
+        if any(b and not a for a, b in pairs) or len(ratios) > 1:
+            return True
+        if ratios and abs(ratios.pop()) != 1:
+            return True
+    return False
+
+
+_GAUSSIAN = st.tuples(st.integers(-3, 3), st.integers(-1, 1)).filter(any).map(lambda z: complex(*z))
+
+
+@given(
+    st.sampled_from(PLANT_CHARACTERS),
+    st.sampled_from([Fraction(1), Fraction(1, 2)]),
+    st.data(),
+)
+def test_planted_pl_forms_are_recovered(chi, alpha, data):
+    """P(s) L(s,chi) with chi of conductor 1, 3, 4, 5 or 8 and one to three
+    polynomial terms comes back IsPL with the planted character and the
+    exact planted polynomial.  At alpha = 1/2 the series must vanish on
+    even m, so an odd-support Q is planted and, for odd conductors,
+    P = Q(s) (1 - chi(2) 2^-s)."""
+    k = len(chi)
+    keys = [1, 2, 3, 4] if alpha == 1 else [1, 3, 9]
+    poly = data.draw(st.dictionaries(st.sampled_from(keys), _GAUSSIAN, min_size=1, max_size=3))
+    if alpha != 1 and k % 2:
+        poly = {**poly, **{2 * n: -chi[2 % k] * a for n, a in poly.items()}}
+    f = planted_f(chi, poly, alpha)
+    series = coefficients_at_alpha_one(f) if alpha == 1 else lift_rational(f, RationalShift(1, 2))
+    cert = detect_pl_form(series)
+    assert cert.verdict == IS_PL
+    assert cert.character.modulus == k
+    assert all(cert.character.cyclo(m) == Cyclo.from_complex_exact(complex(chi[m]))
+               for m in range(k))
+    got = cert.polynomial()
+    assert sorted(got) == sorted(poly)
+    assert all(got[n] == Cyclo.from_complex_exact(a) for n, a in poly.items())
+
+
+@given(
+    st.sampled_from([Fraction(1), Fraction(1, 2)]),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=24),
+)
+def test_unit_twist_refuted_series_are_not_pl(alpha, values):
+    """Random series with period P <= 24 that the unit-twist test refutes
+    come back NotPL; a multiple-character proof names at least two terms."""
+    if alpha != 1:
+        values = values[:12]
+    assume(any(values))
+    q = len(values)
+    if alpha == 1:
+        g = [Fraction(values[(m - 1) % q]) for m in range(1, q + 1)]
+    else:
+        g = [Fraction(values[(m - 1) // 2]) if m % 2 else Fraction(0) for m in range(1, 2 * q + 1)]
+    assume(unit_twist_refutes(g))
+    f = PeriodicFunction(q, tuple(values))
+    series = coefficients_at_alpha_one(f) if alpha == 1 else lift_rational(f, RationalShift(1, 2))
+    cert = detect_pl_form(series)
+    assert cert.verdict == NOT_PL
+    if cert.proof_kind == MULTIPLE_CHARACTERS:
+        assert len(cert.conductors) >= 2
+
+
+def test_multiple_characters_evidence():
+    # b = (1, 2, 1) mod 3 is a combination of the trivial character and
+    # the one mod 3; u = 2 maps b(1) = 1 to b(2) = 2, so no P*L form fits
+    rep = nonvanishing_verdict(PeriodicFunction(3, (1, 2, 1)), Fraction(1))
+    assert rep.verdict == VERDICT_INFINITE
+    assert rep.certificate.proof_kind == MULTIPLE_CHARACTERS
+    assert rep.certificate.conductors == (1, 3)
+    assert "conductors [1, 3]" in rep.evidence[1]
+    assert rep.to_json()["certificate"]["conductors"] == [1, 3]
 
 
 def test_verdict_one_third():
