@@ -31,6 +31,7 @@ from .zeta import (
     abs_coefficient,
     abs_tail_with_bound,
     class_partial_sum,
+    class_tail,
 )
 
 
@@ -450,7 +451,7 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
             s1 = abs(state.class_sums[b])
             s2 = fb_abs * mp.fsum((n + a_val) ** (-sigma) for n in members_b) if members_b else mp.mpf(0)
             s3 = fb_abs * mp.fsum((n + a_val) ** (-sigma) for n in members_a) if members_a else mp.mpf(0)
-            s4, _ = _class_tail(f, a_val, sigma, n_next, b, prec)
+            s4, _ = class_tail(f, a_val, sigma, n_next, b, prec)
 
             placed = mp.mpc(0)
             if fb_abs == 0:
@@ -523,20 +524,6 @@ def _f(x):
 
 def _term(f, n, phi_n, a_val, sigma):
     return _coeff_mpc(f, n) * phi_n * (n + a_val) ** (-sigma)
-
-
-def _class_tail(f, a_val, sigma, n_top, b, prec):
-    """|f(b)| * sum_{n > n_top, n = b (q)} (n+alpha)^-sigma."""
-    from .zeta import _eval_hurwitz  # internal: per-class Hurwitz at real argument
-
-    q = f.period
-    w = abs_coefficient(f, b, mp)
-    if w == 0:
-        return mp.mpf(0), 0.0
-    n0 = b + q * ((n_top - b) // q + 1)
-    val, bound = _eval_hurwitz(sigma, (n0 + a_val) / q, prec)
-    qs = mp.mpf(q) ** (-sigma)
-    return w * qs * mp.re(val), float(w * qs) * bound
 
 
 def _aim_private(state, f, eligible, window_records, members_a, target, a_val, sigma):

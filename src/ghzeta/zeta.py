@@ -25,6 +25,11 @@ derivative of x^(-s); bounding |B_{2K+2}({x})| by |B_{2K+2}| and integrating
 This is the classical estimate: the remainder is at most the first omitted
 term magnified by |s+2K+1|/(sigma+2K+1).  All terms are produced
 incrementally through ratios, so nothing overflows even at large |t|.
+
+One head sum, one starting-shift rule and one correction routine serve
+both the ordinary evaluation and f_eval at a cancelled pole, where the
+per-class pole parts w^(1-s)/(s-1) are replaced by their combined
+expansion around s = 1 and everything else is evaluated unchanged.
 """
 
 from __future__ import annotations
@@ -123,6 +128,13 @@ def _ctx_and_eps(prof: PrecisionProfile):
     return mp, float(mp.mpf(10) ** (-prof.working_digits))
 
 
+def _em_shift(ctx, s, digits):
+    """Starting shift T of the Euler-Maclaurin head: past |t|, so the
+    corrections decay from the first, and deep enough for `digits`."""
+    t_abs = abs(ctx.im(s) if ctx is mp else s.imag)
+    return max(10, int(ctx.ceil(t_abs)), (digits + 1) // 2)
+
+
 def _em_core(ctx, s, a, tol, digits):
     """One Euler-Maclaurin evaluation; returns (value, truncation_bound).
 
@@ -132,13 +144,10 @@ def _em_core(ctx, s, a, tol, digits):
     capped at 30 this always happens within a few doublings for any
     sigma > -55.
     """
-    sigma = ctx.re(s) if ctx is mp else s.real
-    t_abs = abs(ctx.im(s) if ctx is mp else s.imag)
-    T0 = max(10, int(ctx.ceil(t_abs)), (digits + 1) // 2)
-    T = T0
+    T = _em_shift(ctx, s, digits)
     best = None
     for _ in range(_MAX_SHIFT_ESCALATIONS):
-        value, bound, magsum = _em_fixed_shift(ctx, s, a, sigma, T)
+        value, bound, magsum = _em_fixed_shift(ctx, s, a, T)
         if best is None or bound < best[1]:
             best = (value, bound, magsum)
         if bound <= tol:
@@ -152,23 +161,36 @@ def _em_core(ctx, s, a, tol, digits):
     return value, bound, magsum
 
 
-def _em_fixed_shift(ctx, s, a, sigma, T):
+def _em_head(ctx, s, a, T):
+    """(sum_{n<T} (n+a)^(-s), sum_{n<T} |(n+a)^(-s)|)."""
     head = ctx.mpc(0)
     magsum = ctx.mpf(0)
     for n in range(T):
         term = (n + a) ** (-s)
         head += term
         magsum += abs(term)
+    return head, magsum
+
+
+def _em_fixed_shift(ctx, s, a, T):
+    head, magsum = _em_head(ctx, s, a, T)
     w = T + a
     w_pow_neg_s = w ** (-s)
     pole_part = w * w_pow_neg_s / (s - 1)  # w^(1-s)/(s-1)
     value = head + pole_part + w_pow_neg_s / 2
     magsum += abs(pole_part) + abs(w_pow_neg_s) / 2
+    return _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum)
 
-    # correction terms t_k = B_{2k}/(2k)! * (s)_{2k-1} * w^(-s-2k+1), built
-    # by ratios:  t_{k+1} = t_k * [b_{k+1}/b_k] * (s+2k-1)(s+2k) / w^2
-    b_prev = ctx.bernoulli(2) / 2  # B_2/2!
-    t_k = b_prev * s * w_pow_neg_s / w  # k = 1
+
+def _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum):
+    """Add the correction terms to `value` (and their magnitudes to
+    `magsum`) up to the order whose remainder bound is smallest; returns
+    (value, remainder_bound, magsum)."""
+    sigma = ctx.re(s) if ctx is mp else s.real
+    # t_k = B_{2k}/(2k)! * (s)_{2k-1} * w^(-s-2k+1), built by ratios:
+    # t_{k+1} = t_k * [b_{k+1}/b_k] * (s+2k-1)(s+2k) / w^2
+    b_cur = ctx.bernoulli(2) / 2  # B_2/2!
+    t_k = b_cur * s * w_pow_neg_s / w  # k = 1
     w2 = w * w
     best_value, best_bound = None, ctx.inf
     k = 1
@@ -176,7 +198,6 @@ def _em_fixed_shift(ctx, s, a, sigma, T):
         value += t_k
         magsum += abs(t_k)
         b_next = ctx.bernoulli(2 * k + 2) / ctx.factorial(2 * k + 2)
-        b_cur = ctx.bernoulli(2 * k) / ctx.factorial(2 * k)
         t_next = t_k * (b_next / b_cur) * (s + 2 * k - 1) * (s + 2 * k) / w2
         if sigma + 2 * k + 1 > 0:
             bound = abs(t_next) * abs(s + 2 * k + 1) / (sigma + 2 * k + 1)
@@ -184,7 +205,7 @@ def _em_fixed_shift(ctx, s, a, sigma, T):
                 best_value, best_bound = value, bound
             elif bound > 4 * best_bound:
                 break  # asymptotic series turned; stop early
-        t_k = t_next
+        t_k, b_cur = t_next, b_next
         k += 1
     if best_value is None:  # sigma so negative no valid bound existed
         raise PrecisionExhausted(f"no valid remainder bound for sigma={sigma}")
@@ -293,82 +314,44 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
 
 def _f_eval_near_cancelled_pole(sc, f, alpha, prof):
     # Period sum is zero: the per-class pole parts w_r^(1-s)/(s-1) combine to
-    # an analytic function; expand sum_r f(r) w_r^(1-s) around s = 1.
+    # an analytic function; expand sum_r f(r) w_r^(1-s) around s = 1.  The
+    # rest of each class is the Euler-Maclaurin sum at one shared shift T.
     ctx, eps = _ctx_and_eps(prof)
 
-    def run(ctx_s, ctx_is_mp):
-        q = f.period
-        digits = prof.working_digits
-        shifts = _class_shifts(f, alpha, ctx)
-        t_abs = abs(ctx_s.imag if not ctx_is_mp else mp.im(ctx_s))
-        T = max(10, int(fp.ceil(float(t_abs))), (digits + 1) // 2)
+    def run(s):
+        T = _em_shift(ctx, s, prof.working_digits)
         total = ctx.mpc(0)
-        bound = 0.0
-        # non-pole pieces per class, sharing the same shift T
-        for r in range(q):
-            fr = f(r)
-            if fr == 0:
-                continue
-            head = sum((n + shifts[r]) ** (-ctx_s) for n in range(T))
-            w = T + shifts[r]
-            wps = w ** (-ctx_s)
-            corr, corr_bound, mags = _em_corrections(ctx, ctx_s, w, wps, prof)
-            piece = head + wps / 2 + corr
-            frc = ctx.mpc(fr.real, fr.imag) if ctx_is_mp else fr
-            total += frc * piece
-            bound += abs(fr) * (corr_bound + 8 * eps * float(mags + abs(head)))
-        # combined pole part: sum_r f(r) w_r^(1-s)/(s-1)
-        u = 1 - ctx_s  # |u| < 1e-12
         lead = ctx.mpc(0)
         second = ctx.mpc(0)
+        bound = 0.0
         third_mag = 0.0
-        for r in range(q):
+        for r, shift in enumerate(_class_shifts(f, alpha, ctx)):
             fr = f(r)
             if fr == 0:
                 continue
-            frc = ctx.mpc(fr.real, fr.imag) if ctx_is_mp else fr
-            L = ctx.log(T + shifts[r])
+            frc = ctx.mpc(fr.real, fr.imag) if ctx is mp else fr
+            head, magsum = _em_head(ctx, s, shift, T)
+            w = T + shift
+            w_pow_neg_s = w ** (-s)
+            # summed apart from the larger head, the corrections keep their low digits
+            corr, corr_bound, magsum = _em_corrections(
+                ctx, s, w, w_pow_neg_s, ctx.mpc(0), magsum + abs(w_pow_neg_s) / 2)
+            total += frc * (head + w_pow_neg_s / 2 + corr)
+            bound += abs(fr) * (corr_bound + 8 * eps * float(magsum))
+            # sum_r f(r) w_r^(1-s)/(s-1) = -sum_r f(r) (L_r + u L_r^2/2 + ...)
+            L = ctx.log(w)
             lead += frc * L
             second += frc * L * L
             third_mag += abs(fr) * float(L) ** 3
-        pole_piece = -(lead + u * second / 2)
-        bound += abs(u) ** 2 * third_mag
-        qs = ctx.mpf(f.period) ** (-ctx_s)
-        return qs * (total + pole_piece), float(abs(qs)) * bound
+        u = 1 - s  # |u| < 1e-12
+        bound += float(abs(u)) ** 2 * third_mag
+        qs = ctx.mpf(f.period) ** (-s)
+        return qs * (total - (lead + u * second / 2)), float(abs(qs)) * bound
 
     if prof.uses_floats:
-        value, bound = run(sc, False)
-        return EvalResult(value, bound)
+        return EvalResult(*run(sc))
     with mp.workdps(prof.working_digits + 10):
-        value, bound = run(mp.mpc(sc), True)
-        return EvalResult(value, bound)
-
-
-def _em_corrections(ctx, s, w, w_pow_neg_s, prof):
-    """Correction sum of the Euler-Maclaurin tail only (no head, no pole)."""
-    sigma = float(mp.re(s)) if ctx is mp else s.real
-    b_prev = ctx.bernoulli(2) / 2
-    t_k = b_prev * s * w_pow_neg_s / w
-    w2 = w * w
-    total = ctx.mpc(0)
-    magsum = ctx.mpf(0)
-    best_total, best_bound = None, float("inf")
-    k = 1
-    while k <= _MAX_CORRECTION_ORDER:
-        total += t_k
-        magsum += abs(t_k)
-        b_next = ctx.bernoulli(2 * k + 2) / ctx.factorial(2 * k + 2)
-        b_cur = ctx.bernoulli(2 * k) / ctx.factorial(2 * k)
-        t_next = t_k * (b_next / b_cur) * (s + 2 * k - 1) * (s + 2 * k) / w2
-        if sigma + 2 * k + 1 > 0:
-            bound = float(abs(t_next) * abs(s + 2 * k + 1) / (sigma + 2 * k + 1))
-            if bound < best_bound:
-                best_total, best_bound = total, bound
-            elif bound > 4 * best_bound:
-                break
-        t_k = t_next
-        k += 1
-    return best_total, best_bound, magsum
+        return EvalResult(*run(_to_mpc(sc)))
 
 
 def abs_tail(f: PeriodicFunction, alpha, sigma, N: int, prof: PrecisionProfile = EXPLORE):
@@ -392,31 +375,40 @@ def abs_coefficient(f: PeriodicFunction, r: int, ctx):
 
 
 def abs_tail_with_bound(f: PeriodicFunction, alpha, sigma, N: int, prof: PrecisionProfile = EXPLORE):
-    sigma_f = float(sigma)
-    if sigma_f <= 1:
-        raise DivergesAtOne("absolute tail diverges for sigma <= 1")
-    ctx, eps = _ctx_and_eps(prof)
-    q = f.period
+    """(value, bound) for abs_tail: the sum over residue classes of class_tail."""
+    ctx, _ = _ctx_and_eps(prof)
+    total = ctx.mpf(0)
+    bound = 0.0
+    with mp.workdps(prof.working_digits + 10):  # the mp tier sums at working precision
+        for r in range(f.period):
+            val, b = class_tail(f, alpha, sigma, N, r, prof)
+            total += val
+            bound += b
+    return total, bound
 
-    def run(sg):
-        total = ctx.mpf(0)
-        bound = 0.0
-        qs = ctx.mpf(q) ** (-sg)
-        for r in range(q):
-            a_fr = abs_coefficient(f, r, ctx)
-            if a_fr == 0:
-                continue
-            n0 = r + q * ((N - r) // q + 1)  # smallest n > N with n = r (mod q)
-            shift = (n0 + (_to_mpf(alpha) if ctx is mp else float(alpha))) / q
-            val, b = _eval_hurwitz(sg, shift, prof)
-            total += a_fr * (val.real if ctx is fp else mp.re(val))
-            bound += float(a_fr) * b
-        return qs * total, float(qs) * bound
+
+def class_tail(f: PeriodicFunction, alpha, sigma, N: int, r: int,
+               prof: PrecisionProfile = EXPLORE):
+    """(value, bound) for |f(r)| sum_{n > N, n = r (mod q)} (n+alpha)^(-sigma),
+    one Hurwitz zeta value at real argument.  Requires sigma > 1."""
+    if float(sigma) <= 1:
+        raise DivergesAtOne("absolute tail diverges for sigma <= 1")
+    ctx, _ = _ctx_and_eps(prof)
+    q = f.period
+    n0 = r + q * ((N - r) // q + 1)  # smallest n > N with n = r (mod q)
+
+    def run(sg, a):
+        a_fr = abs_coefficient(f, r, ctx)
+        if a_fr == 0:
+            return ctx.mpf(0), 0.0
+        val, b = _eval_hurwitz(sg, (n0 + a) / q, prof)
+        weight = a_fr * ctx.mpf(q) ** (-sg)
+        return weight * ctx.re(val), float(weight) * b
 
     if prof.uses_floats:
-        return run(sigma_f)
+        return run(float(sigma), float(alpha))
     with mp.workdps(prof.working_digits + 10):
-        return run(_to_mpf(sigma))
+        return run(_to_mpf(sigma), _to_mpf(alpha))
 
 
 def class_partial_sum(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
