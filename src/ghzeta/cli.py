@@ -28,7 +28,7 @@ from .construction import (
     Unreachable,
     run_construction,
 )
-from .density import EmptyWindow, WindowSpec, density_sweep, private_prime_scan
+from .density import EmptyWindow, SweepReport, WindowSpec, density_sweep, private_prime_scan
 from .ideals import AlgebraicAlpha, PreconditionViolated, ideal_factorize, norm_value
 from .structure import (
     RationalShift,
@@ -353,33 +353,33 @@ def _per_n_rows(reports):
 
 
 def _sweep_one(job):
-    minpoly, interval, q, N, theta_str = job
+    minpoly, interval, q, N, theta_str, known = job
     alpha = AlgebraicAlpha(minpoly, tuple(Fraction(x) for x in interval), q_context=q)
-    sweep = density_sweep(alpha, [N], Fraction(theta_str), q)
-    return N, sweep.reports
+    cache = FactorCache()
+    for fact in known:
+        cache.put(fact)
+    sweep = density_sweep(alpha, [N], Fraction(theta_str), q, cache)
+    return sweep.reports, cache.entries()[len(known):]  # what this window added
 
 
 def _run_sweep(alpha, n_list, theta, q, cache, threads):
-    if threads and threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if not threads or threads <= 1:
+        return density_sweep(alpha, n_list, theta, q, cache)
+    from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [
-            (alpha.minpoly, (str(alpha.interval[0]), str(alpha.interval[1])), q, N, str(theta))
-            for N in n_list
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = dict(pool.map(_sweep_one, jobs))
-        reports = []
-        for N in n_list:
-            reports.extend(chunks[N])
-        from .density import DICKMAN_REFERENCE, SweepReport
-
-        mean_fraction = sum(r.fraction for r in reports) / len(reports)
-        pass_fraction = sum(1 for r in reports if r.passed) / len(reports)
-        flagged = [(r.window.N, r.window.b) for r in reports if not r.passed]
-        return SweepReport(q, theta, reports, mean_fraction, pass_fraction,
-                           flagged, DICKMAN_REFERENCE)
-    return density_sweep(alpha, n_list, theta, q, cache)
+    known = cache.entries()
+    jobs = [
+        (alpha.minpoly, (str(alpha.interval[0]), str(alpha.interval[1])), q, N, str(theta), known)
+        for N in n_list
+    ]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunks = list(pool.map(_sweep_one, jobs))
+    reports = []
+    for window_reports, found in chunks:
+        reports.extend(window_reports)
+        for fact in found:  # workers keep their caches in memory; only this process writes
+            cache.put(fact)
+    return SweepReport(q, theta, reports)
 
 
 def cmd_construct_phi(args, seed):

@@ -57,6 +57,15 @@ def _reduce_mod(coeffs, mod_ascending):
     return r[:dm]
 
 
+_QUARTER_TURNS = (1, 1j, -1, -1j)
+
+
+def _unit(k, n):
+    """exp(2 pi i k/n) for 0 <= k < n, exactly +-1 or +-1j at quarter turns."""
+    quarter, rest = divmod(4 * k, n)
+    return _QUARTER_TURNS[quarter] if rest == 0 else cmath.exp(2j * cmath.pi * k / n)
+
+
 class Cyclo:
     """An element of Q(zeta_n), exact."""
 
@@ -202,7 +211,7 @@ class Cyclo:
         z = 0j
         for i, c in enumerate(self.coeffs):
             if c != 0:
-                z += float(c) * cmath.exp(2j * cmath.pi * i / self.order)
+                z += float(c) * _unit(i, self.order)
         return z
 
     def __repr__(self):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
+from typing import ClassVar
 
 from .arith import FactorCache
 from .ideals import AlgebraicAlpha, IdealFactorizationRecord, PrimeIdealKey, ideal_factorize
@@ -203,11 +204,21 @@ def rescan_soundness(alpha: AlgebraicAlpha, key: PrimeIdealKey, n: int, end: int
 class SweepReport:
     q: int
     theta: Fraction
-    reports: list  # DensityReport
-    mean_fraction: float
-    pass_fraction: float
-    flagged: list  # (N, b) pairs under the floor
-    dickman_reference: float
+    reports: list  # DensityReport, in (N, b) order
+    dickman_reference: ClassVar[float] = DICKMAN_REFERENCE
+
+    @property
+    def mean_fraction(self):
+        return sum(r.fraction for r in self.reports) / len(self.reports)
+
+    @property
+    def pass_fraction(self):
+        return sum(1 for r in self.reports if r.passed) / len(self.reports)
+
+    @property
+    def flagged(self):
+        """(N, b) of the windows under the floor."""
+        return [(r.window.N, r.window.b) for r in self.reports if not r.passed]
 
     def to_json(self):
         return {
@@ -234,18 +245,11 @@ def density_sweep(alpha: AlgebraicAlpha, n_list, theta, q: int,
     theta = Fraction(theta)
     alpha = alpha.with_q(q)
     reports = []
-    flagged = []
     for N in n_list:
         M = int(theta * N)
         records = window_records(alpha, N, M, cache)
         for b in range(q):
             w = WindowSpec(N, theta, q, b)
-            rep = private_prime_scan(alpha, w, records=records, cache=cache,
-                                     density_floor=density_floor)
-            reports.append(rep)
-            if not rep.passed:
-                flagged.append((N, b))
-    mean_fraction = sum(r.fraction for r in reports) / len(reports)
-    pass_fraction = sum(1 for r in reports if r.passed) / len(reports)
-    return SweepReport(q, theta, reports, mean_fraction, pass_fraction, flagged,
-                       DICKMAN_REFERENCE)
+            reports.append(private_prime_scan(alpha, w, records=records, cache=cache,
+                                              density_floor=density_floor))
+    return SweepReport(q, theta, reports)

@@ -113,7 +113,7 @@ class DecompositionResult:
     """sum over primitive chi of P_chi(s) L(s,chi) reproducing the series."""
 
     period: int
-    terms: tuple  # ((DirichletCharacter primitive, ((n, Cyclo), ...)), ...)
+    terms: tuple  # ((DirichletCharacter primitive, ((n, canonical Cyclo), ...)), ...)
     verification_period: int
     verified: bool
 
@@ -152,7 +152,8 @@ def decompose(series) -> DecompositionResult:
     m' = r/d (mod P/d) coprime to P/d; the coprime-class indicator expands
     over the character group mod P/d, and each imprimitive L-function is
     exchanged for its primitive part times finitely many Euler factors.
-    The result is verified exactly on one full common period.
+    Coefficients are in canonical form (`Cyclo.canonical`), and the result
+    is verified exactly on one full common period.
     """
     g = series.coeffs if isinstance(series, LiftedSeries) else series
     P = g.period
@@ -191,7 +192,7 @@ def decompose(series) -> DecompositionResult:
 
     terms = []
     for key in sorted(acc, key=lambda k: (k[0], str(k[1]))):
-        poly = {n: c for n, c in acc[key].items() if not c.is_zero()}
+        poly = {n: c.canonical() for n, c in acc[key].items() if not c.is_zero()}
         if poly:
             terms.append((chars_seen[key], tuple(sorted(poly.items()))))
 
@@ -279,7 +280,7 @@ def detect_pl_form(series, decomposition: DecompositionResult | None = None) -> 
     return PLCertificate(
         IS_PL,
         DECONVOLUTION_CERTIFICATE,
-        polynomial_support=tuple((n, c.canonical()) for n, c in poly),
+        polynomial_support=poly,
         character=chi,
         verification_period=dec.verification_period,
     )

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from ghzeta.cli import main
@@ -28,6 +29,19 @@ def test_eval_basic(tmp_path):
     assert payload["schema"] == 2
     assert abs(payload["results"]["value_re"] - math.pi**2 / 6) < 1e-10
     assert payload["results"]["error_bound"] < 1e-10
+
+
+def test_eval_cancelled_pole_high_precision(tmp_path):
+    # (1, -1) at alpha = 1 is Dirichlet's eta: the pole of zeta cancels to ln 2
+    code, payload = run_cli(
+        ["eval", "--sigma", "1", "--alpha", "1", "--f=1,-1", "--digits", "30"], tmp_path,
+    )
+    assert code == 0
+    res = payload["results"]
+    assert isinstance(res["error_bound"], float)
+    with mpmath.workdps(40):
+        err = abs(mpmath.mpf(res["value_str"][0]) - mpmath.log(2))
+    assert err <= res["error_bound"]
 
 
 def test_eval_high_precision_and_algebraic(tmp_path):
@@ -201,6 +215,20 @@ def test_density_threads_deterministic(tmp_path):
     seq["config"].pop("threads")
     par["config"].pop("threads")
     assert canonical(seq) == canonical(par)
+    # the parallel path extends the cache like the sequential one ...
+    seq_cache, par_cache = tmp_path / "seq.csv", tmp_path / "par.csv"
+    run_cli(base + ["--threads", "1", "--cache", str(seq_cache)], tmp_path, "seq.json")
+    _, par = run_cli(base + ["--threads", "2", "--cache", str(par_cache)], tmp_path, "par.json")
+    lines = set(seq_cache.read_text().splitlines())
+    assert lines and set(par_cache.read_text().splitlines()) == lines
+    par["config"].pop("threads")
+    assert canonical(seq) == canonical(par)
+    # ... and a warm cache gains no duplicate line and changes no report
+    before = seq_cache.read_text()
+    _, warm = run_cli(base + ["--threads", "2", "--cache", str(seq_cache)], tmp_path, "warm.json")
+    assert seq_cache.read_text() == before
+    warm["config"].pop("threads")
+    assert canonical(seq) == canonical(warm)
 
 
 def test_construct_phi_canonical_single_stage(tmp_path):
@@ -219,6 +247,23 @@ def test_cache_env_and_flag(tmp_path, monkeypatch):
     code, _ = run_cli(args, tmp_path)
     assert code == 0
     assert cache_file.exists() and cache_file.read_text().strip()
+
+
+def test_decompose_terms_are_canonical(tmp_path):
+    code, payload = run_cli(["decompose", "--alpha", "1/2", "--f=1,-1", "--q", "2"], tmp_path)
+    assert code == 0
+    (term,) = payload["results"]["terms"]
+    assert term["conductor"] == 4
+    assert term["polynomial"] == {"1": {"order": 1, "terms": {"0": "1"}, "re": 1.0, "im": 0.0}}
+
+
+def test_classify_certificate_quarter_turn_is_exact(tmp_path):
+    # -i times the quartic character mod 5; alpha = 1 shifts f by one place
+    code, payload = run_cli(["classify", "--alpha", "1", "--f=-1j,1,-1,1j,0"], tmp_path)
+    assert code == 0
+    cert = payload["results"]["certificate"]
+    assert cert["character_modulus"] == 5
+    assert cert["polynomial"]["1"] == {"order": 4, "terms": {"1": "-1"}, "re": 0.0, "im": -1.0}
 
 
 def test_decompose_max_conductor_is_usage_error():

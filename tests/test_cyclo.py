@@ -56,3 +56,10 @@ def test_zero_detection_nontrivial():
 def test_float_values_are_exact_dyadics():
     c = Cyclo.from_complex_exact(0.75 + 0.5j)
     assert c == Cyclo.from_rational(Fraction(3, 4), Fraction(1, 2))
+
+
+def test_quarter_turns_realize_exactly():
+    assert [complex(Cyclo.root_of_unity(k, 4)) for k in range(4)] == [1, 1j, -1, -1j]
+    assert complex(Cyclo(8, (0,) * 6 + (Fraction(3), 0))) == -3j
+    assert complex(Cyclo(12, (0, 0, 0, 1) + (0,) * 8)) == 1j
+    assert complex(Cyclo.root_of_unity(1, 8)) == cmath.exp(2j * cmath.pi / 8)

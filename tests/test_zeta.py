@@ -15,6 +15,7 @@ from ghzeta.zeta import (
     abs_tail,
     abs_tail_with_bound,
     class_partial_sum,
+    class_tail,
     f_eval,
     hurwitz_zeta,
 )
@@ -166,6 +167,34 @@ def test_f_eval_pole_cases():
     res = f_eval(1.0 + 0j, f, 1.0)
     assert not res.pole_flag
     assert abs(res.value - math.log(2)) < 1e-12
+
+
+@pytest.mark.parametrize("prof", [EXPLORE, PrecisionProfile(30, 1e-25)])
+@pytest.mark.parametrize("s", [1, 1 + 1e-13j, 1 + 4e-13, 1 - 3e-13j])
+def test_cancelled_pole_matches_eta(prof, s):
+    # f = (1, -1) at alpha = 1 is Dirichlet's eta, whose pole at s = 1 cancels
+    res = f_eval(s, PeriodicFunction(2, (1, -1)), 1, prof)
+    assert not res.pole_flag
+    assert isinstance(res.abs_error_bound, float)
+    with mp.workdps(40):
+        err = abs(mp.mpc(res.value) - mpmath.altzeta(mp.mpc(s)))
+    rounding = 4e-16 if prof.uses_floats else 0.0  # final float operations
+    assert err <= res.abs_error_bound + rounding
+
+
+def test_class_tails_sum_to_abs_tail():
+    f = PeriodicFunction(3, (1, -2, 0))
+    for prof in (EXPLORE, CERTIFY):
+        parts = [class_tail(f, 0.3, 1.5, 7, r, prof) for r in range(3)]
+        total, bound = abs_tail_with_bound(f, 0.3, 1.5, 7, prof)
+        assert abs(sum(v for v, _ in parts) - total) <= 1e-14 * total
+        assert sum(b for _, b in parts) == pytest.approx(bound)
+    val, bound = class_tail(f, 0.3, 2.5, 7, 1, EXPLORE)
+    direct = 2 * math.fsum((n + 0.3) ** -2.5 for n in range(10, 10**6, 3))
+    assert abs(val - direct) < 1e-9 + bound
+    assert class_tail(f, 0.3, 2.5, 7, 2, EXPLORE) == (0.0, 0.0)
+    with pytest.raises(DivergesAtOne):
+        class_tail(f, 0.3, 1.0, 7, 0, EXPLORE)
 
 
 def test_abs_tail_examples():
