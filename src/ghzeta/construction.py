@@ -437,20 +437,22 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
     with mp.workdps(digits + 10):
         sigma = state.sigma
         a_val = state.alpha_val
+        # (n+alpha)^-sigma once per member; every use below reads it
+        weight = {n: (n + a_val) ** (-sigma) for n in records}
         new_sums = list(state.class_sums)
         for b in range(q):
+            fb = _coeff_mpc(f, b)  # every member of the class shares it
             fb_abs = abs_coefficient(f, b, mp)
             members_a, members_b = class_a[b], class_b[b]
             # drift: everything in the class that is already pinned down
             locked = mp.mpc(0)
             for n in members_b:
-                phi_n = state.phi.phase_of_record(records[n])
-                locked += _term(f, n, phi_n, a_val, sigma)
+                locked += fb * state.phi.phase_of_record(records[n]) * weight[n]
             drift = state.class_sums[b] + locked
 
             s1 = abs(state.class_sums[b])
-            s2 = fb_abs * mp.fsum((n + a_val) ** (-sigma) for n in members_b) if members_b else mp.mpf(0)
-            s3 = fb_abs * mp.fsum((n + a_val) ** (-sigma) for n in members_a) if members_a else mp.mpf(0)
+            s2 = fb_abs * mp.fsum(weight[n] for n in members_b) if members_b else mp.mpf(0)
+            s3 = fb_abs * mp.fsum(weight[n] for n in members_a) if members_a else mp.mpf(0)
             s4, _ = class_tail(f, a_val, sigma, n_next, b, prec)
 
             placed = mp.mpc(0)
@@ -464,11 +466,9 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
                     target = -drift
                 else:
                     target = -s3 * drift / abs(drift)
-                _aim_private(state, f, eligible, records, members_a,
-                             target, a_val, sigma)
+                _aim_private(state, fb, eligible, records, members_a, target, weight)
                 for n in members_a:
-                    phi_n = state.phi.phase_of_record(records[n])
-                    placed += _term(f, n, phi_n, a_val, sigma)
+                    placed += fb * state.phi.phase_of_record(records[n]) * weight[n]
                 limit = max(mp.mpf(0), abs(drift) - s3)
             new_sums[b] = drift + placed
             achieved = abs(new_sums[b])
@@ -522,14 +522,12 @@ def _f(x):
     return float(x)
 
 
-def _term(f, n, phi_n, a_val, sigma):
-    return _coeff_mpc(f, n) * phi_n * (n + a_val) ** (-sigma)
-
-
-def _aim_private(state, f, eligible, window_records, members_a, target, a_val, sigma):
+def _aim_private(state, fb, eligible, window_records, members_a, target, weight):
     """Choose phases of the private primes so the class-A terms sum to the
-    target; the fixed factor of each term (periodic coefficient times the
-    already-assigned part of phi) is rotated out before solving."""
+    target; the fixed factor of each term (the class coefficient `fb` times
+    the already-assigned part of phi) is rotated out before solving."""
+    fb_abs = abs(fb)
+    fb_unit = fb / fb_abs
     radii = []
     fixed_units = []
     exps = []
@@ -545,9 +543,8 @@ def _aim_private(state, f, eligible, window_records, members_a, target, a_val, s
             ph = state.phi.get(k2)
             if ph != 1:
                 u = u * ph**e
-        fn_c = _coeff_mpc(f, n)
-        radii.append(abs(fn_c) * (n + a_val) ** (-sigma))
-        fixed_units.append(fn_c / abs(fn_c) * u)
+        radii.append(fb_abs * weight[n])
+        fixed_units.append(fb_unit * u)
         exps.append(e_key)
     angles = bohr_solve(radii, target, ctx=mp)
     for n, ang, unit_fix, e_key in zip(members_a, angles, fixed_units, exps):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from mpmath import mp
@@ -193,9 +193,10 @@ class AlgebraicAlpha:
     def discriminant(self):
         return poly_discriminant(list(self.minpoly))
 
-    @property
+    @cached_property
     def bad_modulus(self):
-        """Primes outside the admissible set divide this."""
+        """Primes outside the admissible set divide this.  Computed once per
+        instance: `with_q` makes a new instance for a new `q_context`."""
         return abs(self.lead * self.discriminant * self.q_context)
 
     def with_q(self, q: int) -> "AlgebraicAlpha":

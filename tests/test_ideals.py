@@ -133,6 +133,17 @@ def test_admissibility():
     assert not is_admissible_prime(ALPHA.with_q(7), 7)
 
 
+def test_bad_modulus_cached_per_instance():
+    alpha = AlgebraicAlpha((1, 2, -1), (Fraction(2, 5), Fraction(1, 2)))
+    alpha3 = alpha.with_q(3)
+    assert alpha3.bad_modulus == 3 * alpha.bad_modulus == 24
+    assert vars(alpha3)["bad_modulus"] == 24  # stored on the instance that computed it
+    # the cache is no dataclass field: eq, hash and repr ignore it
+    fresh = AlgebraicAlpha(alpha.minpoly, alpha.interval, 3)
+    assert "bad_modulus" not in vars(fresh)
+    assert fresh == alpha3 and hash(fresh) == hash(alpha3) and repr(fresh) == repr(alpha3)
+
+
 def test_conjugate_consistency():
     rng = random.Random(9)
     for _ in range(50):
