@@ -113,17 +113,26 @@ def bohr_solve(radii, target, ctx=fp):
     annulus max(0, 2 max r - sum r) <= |z| <= sum r.  Links are placed
     longest first: each link turns just far enough that the residual
     target stays reachable for the remaining links, and the final two
-    links close the triangle exactly.  O(k log k), deterministic.
+    links close the triangle exactly.  One sort, then a linear sweep: the
+    remaining links are a suffix of the sorted radii, so their longest is
+    the next radius and their sum is read from suffix sums built once.
+    O(k log k), deterministic.
     """
     if not radii:
         raise ValueError("need at least one radius")
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     radii_c = [ctx.mpf(r) if ctx is mp else float(r) for r in radii]
+    order = sorted(range(len(radii_c)), key=lambda i: (-radii_c[i], i))
+    sorted_r = [radii_c[i] for i in order]
+    k = len(sorted_r)
+    suffix = [0 * sorted_r[0]] * (k + 1)  # suffix[i] = sum(sorted_r[i:])
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + sorted_r[i]
+
     z = ctx.mpc(target)
-    total = sum(radii_c)
-    rmax = max(radii_c)
-    inner = max(0 * total, 2 * rmax - total)
+    total = suffix[0]
+    inner = max(0 * total, 2 * sorted_r[0] - total)
     tol = 1e-9 * float(total)
     if abs(z) > total + tol or abs(z) < inner - tol:
         raise Unreachable(
@@ -138,9 +147,6 @@ def bohr_solve(radii, target, ctx=fp):
     elif abs(z) == 0 and inner > 0:
         raise Unreachable("zero target with a positive inner radius")
 
-    order = sorted(range(len(radii_c)), key=lambda i: (-radii_c[i], i))
-    sorted_r = [radii_c[i] for i in order]
-    k = len(sorted_r)
     phases = [None] * k
 
     def unit(w):
@@ -150,9 +156,8 @@ def bohr_solve(radii, target, ctx=fp):
     w = z
     for i in range(k - 2):
         r = sorted_r[i]
-        rest = sorted_r[i + 1 :]
-        R = sum(rest)
-        inner_rest = max(0 * R, 2 * max(rest) - R)
+        R = suffix[i + 1]
+        inner_rest = max(0 * R, 2 * sorted_r[i + 1] - R)
         aw = abs(w)
         lo = max(inner_rest, abs(aw - r))
         hi = min(R, aw + r)

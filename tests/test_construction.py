@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import fp, mp
 
 from ghzeta.arith import FactorCache, PeriodicFunction
 from ghzeta.construction import (
@@ -78,6 +78,30 @@ def test_bohr_mp_context():
         phases = bohr_solve(radii, z, ctx=mp)
         resid = abs(sum(r * mp.expjpi(p / mp.pi) for r, p in zip(radii, phases)) - z)
         assert resid < mp.mpf(10) ** -50
+
+
+@pytest.mark.parametrize("where", ["inside", "outer", "zero", "inner"])
+@pytest.mark.parametrize("ctx", [mp, fp], ids=["mp", "fp"])
+def test_bohr_desk_window_links(ctx, where):
+    # 250 links (n+alpha)^-sigma over a desk window, as many as a construct
+    # stage solves; their inner radius is 0, so a dominant first link is
+    # put in to give the "inner" case a positive inner boundary
+    with mp.workdps(60):
+        a = ALPHA.value(60)
+        sigma = 1 + mp.mpf(1) / 2**7
+        radii = [(n + a) ** (-sigma) for n in range(4000, 4250)]
+        if where == "inner":
+            radii[0] = mp.mpf(5) / 4 * mp.fsum(radii[1:])
+        total = mp.fsum(radii)
+        inner = 2 * radii[0] - total if where == "inner" else 0
+        mag = {"inside": total / 3, "outer": total, "zero": 0, "inner": inner}[where]
+        z = mag * mp.expjpi(mp.mpf(2) / 7)
+        if ctx is fp:
+            radii, z, total = [float(r) for r in radii], complex(z), float(total)
+        phases = bohr_solve(radii, z, ctx=ctx)
+        reached = mp.fsum(r * mp.expjpi(p / mp.pi) for r, p in zip(radii, phases))
+        resid = abs(reached - z)
+    assert resid < (mp.mpf(10) ** -50 if ctx is mp else 1e-12) * total
 
 
 def test_profile_consistency_guard():
