@@ -315,16 +315,28 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
 def _f_eval_near_cancelled_pole(sc, f, alpha, prof):
     # Period sum is zero: the per-class pole parts w_r^(1-s)/(s-1) combine to
     # an analytic function; expand sum_r f(r) w_r^(1-s) around s = 1.  The
-    # rest of each class is the Euler-Maclaurin sum at one shared shift T.
+    # rest of each class is the Euler-Maclaurin sum at one shared shift T,
+    # doubled like _em_core's until the truncation meets the tolerance.
     ctx, eps = _ctx_and_eps(prof)
+    tol = prof.target_tolerance
 
     def run(s):
         T = _em_shift(ctx, s, prof.working_digits)
+        for _ in range(_MAX_SHIFT_ESCALATIONS):
+            value, bound, truncation = at_shift(s, T)
+            if truncation <= tol:
+                return value, bound
+            T *= 2
+        raise PrecisionExhausted(
+            f"cancelled-pole bound {truncation:.3e} misses tolerance {tol:.3e} at s={complex(s)}"
+        )
+
+    def at_shift(s, T):
+        """(value, bound, truncation part of the bound) at shift T."""
         total = ctx.mpc(0)
-        lead = ctx.mpc(0)
-        second = ctx.mpc(0)
         bound = 0.0
-        third_mag = 0.0
+        truncation = 0.0
+        logs = []  # (f(r), |f(r)|, log w_r) per class
         for r, shift in enumerate(_class_shifts(f, alpha, ctx)):
             fr = f(r)
             if fr == 0:
@@ -338,15 +350,25 @@ def _f_eval_near_cancelled_pole(sc, f, alpha, prof):
                 ctx, s, w, w_pow_neg_s, ctx.mpc(0), magsum + abs(w_pow_neg_s) / 2)
             total += frc * (head + w_pow_neg_s / 2 + corr)
             bound += abs(fr) * (corr_bound + 8 * eps * float(magsum))
-            # sum_r f(r) w_r^(1-s)/(s-1) = -sum_r f(r) (L_r + u L_r^2/2 + ...)
-            L = ctx.log(w)
-            lead += frc * L
-            second += frc * L * L
-            third_mag += abs(fr) * float(L) ** 3
-        u = 1 - s  # |u| < 1e-12
-        bound += float(abs(u)) ** 2 * third_mag
+            truncation += abs(fr) * corr_bound
+            logs.append((frc, abs(fr), ctx.log(w)))
+        # sum_r f(r) w_r^(1-s)/(s-1) = -sum_{m>=1} u^(m-1)/m! sum_r f(r) L_r^m
+        # with u = 1-s, |u| < 1e-12; the orders past m add at most
+        # |u|^m sum_r |f(r)| L_r^(m+1)
+        u = 1 - s
+        pole = ctx.mpc(0)
+        coef = 1  # u^(m-1)/m!
+        powers = [frc * L for frc, _, L in logs]
+        for m in range(1, _MAX_CORRECTION_ORDER + 1):
+            pole += coef * sum(powers)
+            rest = float(abs(u)) ** m * sum(a * float(L) ** (m + 1) for _, a, L in logs)
+            if m >= 2 and rest <= tol / 2:
+                break
+            coef = coef * u / (m + 1)
+            powers = [p * L for p, (_, _, L) in zip(powers, logs)]
         qs = ctx.mpf(f.period) ** (-s)
-        return qs * (total - (lead + u * second / 2)), float(abs(qs)) * bound
+        return (qs * (total - pole), float(abs(qs)) * (bound + rest),
+                float(abs(qs)) * (truncation + rest))
 
     if prof.uses_floats:
         return EvalResult(*run(sc))

@@ -5,12 +5,14 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from ghzeta import zeta
 from ghzeta.arith import PeriodicFunction
 from ghzeta.zeta import (
     CERTIFY,
     DivergesAtOne,
     EXPLORE,
     PoleAtOne,
+    PrecisionExhausted,
     PrecisionProfile,
     abs_tail,
     abs_tail_with_bound,
@@ -180,6 +182,25 @@ def test_cancelled_pole_matches_eta(prof, s):
         err = abs(mp.mpc(res.value) - mpmath.altzeta(mp.mpc(s)))
     rounding = 4e-16 if prof.uses_floats else 0.0  # final float operations
     assert err <= res.abs_error_bound + rounding
+
+
+@pytest.mark.parametrize("prof, s", [(CERTIFY, 1 + 1e-13j), (CERTIFY, 1 + 9e-13),
+                                     (PrecisionProfile(100, 1e-95), 1)])
+def test_cancelled_pole_meets_tolerance(prof, s):
+    # off s = 1 the pole expansion needs orders past u^1, and at 100 digits
+    # the shift must grow before the corrections reach the tolerance
+    res = f_eval(s, PeriodicFunction(2, (1, -1)), 1, prof)
+    assert res.abs_error_bound <= prof.target_tolerance
+    with mp.workdps(prof.working_digits + 10):
+        err = abs(mp.mpc(res.value) - mpmath.altzeta(mp.mpc(s)))
+    assert err <= res.abs_error_bound
+
+
+def test_cancelled_pole_raises_when_tolerance_missed(monkeypatch):
+    # without shift doubling 100 digits stop at a bound of 6e-72
+    monkeypatch.setattr(zeta, "_MAX_SHIFT_ESCALATIONS", 1)
+    with pytest.raises(PrecisionExhausted):
+        f_eval(1, PeriodicFunction(2, (1, -1)), 1, PrecisionProfile(100, 1e-95))
 
 
 def test_class_tails_sum_to_abs_tail():
