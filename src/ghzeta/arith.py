@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,26 +160,56 @@ def factorize(n: int, cache: "FactorCache | None" = None) -> Factorization:
     return result
 
 
+def _verified_cache_line(line):
+    """The Factorization a cache line records, or None when the line is
+    malformed or does not hold a factorization into distinct primes."""
+    key, _, body = line.partition(",")
+    try:
+        factors = []
+        for item in body.split():
+            p, _, e = item.partition("^")
+            factors.append((int(p), int(e) if e else 1))
+        fact = Factorization(int(key), tuple(sorted(factors)))
+    except ValueError:  # not an integer, or the factors miss the target
+        return None
+    primes = [p for p, _ in fact.factors]
+    if len(set(primes)) != len(primes):
+        return None
+    if any(e < 1 or not is_prime(p) for p, e in fact.factors):
+        return None
+    return fact
+
+
 class FactorCache:
     """Append-only factorization cache, optionally persisted as CSV lines
     ``n,p1^e1 p2^e2 ...``.  Behaves as a function: re-inserting an entry is a
-    no-op, and all access is lock-protected."""
+    no-op, and all access is lock-protected.
+
+    A loaded line is used only when it parses and its distinct factors are
+    primes with positive exponents that recompose n; other lines are
+    skipped (their n is factored afresh and appended) with one warning on
+    stderr that counts them."""
 
     def __init__(self, path=None):
         self._lock = threading.Lock()
         self._table = {}
         self._path = Path(path) if path else None
         if self._path is not None and self._path.exists():
+            skipped = 0
             for line in self._path.read_text().splitlines():
                 line = line.strip()
                 if not line:
                     continue
-                key, _, body = line.partition(",")
-                factors = []
-                for item in body.split():
-                    p, _, e = item.partition("^")
-                    factors.append((int(p), int(e) if e else 1))
-                self._table[int(key)] = Factorization(int(key), tuple(sorted(factors)))
+                fact = _verified_cache_line(line)
+                if fact is None:
+                    skipped += 1
+                else:
+                    self._table[fact.target] = fact
+            if skipped:
+                sys.stderr.write(
+                    f"warning: skipped {skipped} malformed or unverified line(s) "
+                    f"of factor cache {self._path}\n"
+                )
 
     def get(self, n):
         with self._lock:

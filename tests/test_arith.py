@@ -153,3 +153,22 @@ def test_factor_cache_roundtrip(tmp_path):
     fresh = FactorCache(path)
     assert fresh.get(9998) == f1
     assert (path.read_text().strip().splitlines()) == ["9998,2^1 4999^1"]
+
+
+@pytest.mark.parametrize("bad, n", [
+    ("34,34", 34),  # a composite "prime" that recomposes n
+    ("34,x", 34),  # malformed
+    ("x,2 17", None),
+    ("4,2 2", 4),  # a repeated prime
+    ("34,2 17 3^0", 34),  # a zero exponent
+    ("34,2 3", 34),  # factors that miss n
+])
+def test_factor_cache_skips_bad_lines(tmp_path, capsys, bad, n):
+    path = tmp_path / "cache.csv"
+    path.write_text(f"{bad}\n9998,2^1 4999^1\n")
+    cache = FactorCache(path)
+    assert cache.entries() == [factorize(9998)]
+    err = capsys.readouterr().err
+    assert f"skipped 1 malformed or unverified line(s) of factor cache {path}" in err
+    if n is not None:
+        assert factorize(n, cache) == factorize(n)  # factored afresh, not read back

@@ -119,6 +119,20 @@ def test_factor_ideals_and_verify(tmp_path):
     assert vr["results"]["ok"] and vr["results"]["checked"] >= 1
 
 
+@pytest.mark.parametrize("bad", ["34,34", "34,x"])
+def test_factor_ideals_ignores_corrupt_cache_line(tmp_path, capsys, bad):
+    # N(7) = 34 = 2 * 17 for sqrt(2) - 1; 2 ramifies, so 17 is the only ideal
+    cache = tmp_path / "cache.csv"
+    cache.write_text(bad + "\n")
+    args = ["factor-ideals", "--minpoly", "1,2,-1", "--interval", "0.4,0.5",
+            "--range", "7..7", "--cache", str(cache)]
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0
+    assert payload["results"]["rows"] == [[7, 34, "17^1@7", 2]]
+    assert f"skipped 1 malformed or unverified line(s) of factor cache {cache}" in capsys.readouterr().err
+    assert cache.read_text().splitlines() == [bad, "34,2^1 17^1"]
+
+
 def test_verify_catches_corruption(tmp_path):
     args = ["factor-ideals", "--minpoly", "1,2,-1", "--interval", "0.4,0.5",
             "--range", "0..20"]
