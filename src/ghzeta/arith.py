@@ -172,10 +172,8 @@ def _verified_cache_line(line):
         fact = Factorization(int(key), tuple(sorted(factors)))
     except ValueError:  # not an integer, or the factors miss the target
         return None
-    primes = [p for p, _ in fact.factors]
-    if len(set(primes)) != len(primes):
-        return None
-    if any(e < 1 or not is_prime(p) for p, e in fact.factors):
+    distinct = len({p for p, _ in fact.factors}) == len(fact.factors)
+    if not distinct or any(e < 1 or not is_prime(p) for p, e in fact.factors):
         return None
     return fact
 

@@ -456,8 +456,8 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
             drift = state.class_sums[b] + locked
 
             s1 = abs(state.class_sums[b])
-            s2 = fb_abs * mp.fsum(weight[n] for n in members_b) if members_b else mp.mpf(0)
-            s3 = fb_abs * mp.fsum(weight[n] for n in members_a) if members_a else mp.mpf(0)
+            s2 = fb_abs * mp.fsum(weight[n] for n in members_b)
+            s3 = fb_abs * mp.fsum(weight[n] for n in members_a)
             s4, _ = class_tail(f, a_val, sigma, n_next, b, prec)
 
             placed = mp.mpc(0)
