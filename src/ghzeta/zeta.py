@@ -352,9 +352,12 @@ def _f_eval_near_cancelled_pole(sc, f, alpha, prof):
             bound += abs(fr) * (corr_bound + 8 * eps * float(magsum))
             truncation += abs(fr) * corr_bound
             logs.append((frc, abs(fr), ctx.log(w)))
+        qs = ctx.mpf(f.period) ** (-s)
+        abs_qs = float(abs(qs))
         # sum_r f(r) w_r^(1-s)/(s-1) = -sum_{m>=1} u^(m-1)/m! sum_r f(r) L_r^m
         # with u = 1-s, |u| < 1e-12; the orders past m add at most
-        # |u|^m sum_r |f(r)| L_r^(m+1)
+        # |u|^m sum_r |f(r)| L_r^(m+1).  Orders are added until the whole
+        # truncation meets the tolerance.
         u = 1 - s
         pole = ctx.mpc(0)
         coef = 1  # u^(m-1)/m!
@@ -362,13 +365,11 @@ def _f_eval_near_cancelled_pole(sc, f, alpha, prof):
         for m in range(1, _MAX_CORRECTION_ORDER + 1):
             pole += coef * sum(powers)
             rest = float(abs(u)) ** m * sum(a * float(L) ** (m + 1) for _, a, L in logs)
-            if m >= 2 and rest <= tol / 2:
+            if m >= 2 and abs_qs * (truncation + rest) <= tol:
                 break
             coef = coef * u / (m + 1)
             powers = [p * L for p, (_, _, L) in zip(powers, logs)]
-        qs = ctx.mpf(f.period) ** (-s)
-        return (qs * (total - pole), float(abs(qs)) * (bound + rest),
-                float(abs(qs)) * (truncation + rest))
+        return qs * (total - pole), abs_qs * (bound + rest), abs_qs * (truncation + rest)
 
     if prof.uses_floats:
         return EvalResult(*run(sc))
