@@ -9,8 +9,10 @@ used by the series evaluators.
 from __future__ import annotations
 
 import math
+import os
 import random
 import sys
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -117,9 +119,6 @@ class Factorization:
         if prod != self.target:
             raise ValueError("factors do not recompose the target")
 
-    def as_dict(self):
-        return dict(self.factors)
-
     def __str__(self):
         return " ".join(f"{p}^{e}" for p, e in self.factors) if self.factors else "1"
 
@@ -160,6 +159,10 @@ def factorize(n: int, cache: "FactorCache | None" = None) -> Factorization:
     return result
 
 
+def _cache_line(fact):
+    return f"{fact.target},{fact}\n"
+
+
 def _verified_cache_line(line):
     """The Factorization a cache line records, or None when the line is
     malformed or does not hold a factorization into distinct primes."""
@@ -178,6 +181,20 @@ def _verified_cache_line(line):
     return fact
 
 
+def write_atomic(path, data: bytes):
+    """Replace the file at `path` by `data` through a temp file and a rename,
+    so readers see the old or the new bytes, never a part."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 class FactorCache:
     """Append-only factorization cache, optionally persisted as CSV lines
     ``n,p1^e1 p2^e2 ...``.  Behaves as a function: re-inserting an entry is a
@@ -186,7 +203,8 @@ class FactorCache:
     A loaded line is used only when it parses and its distinct factors are
     primes with positive exponents that recompose n; other lines are
     skipped (their n is factored afresh and appended) with one warning on
-    stderr that counts them."""
+    stderr that counts them, and the file is rewritten once, atomically,
+    with only the verified entries, so the next load finds none to skip."""
 
     def __init__(self, path=None):
         self._lock = threading.Lock()
@@ -206,8 +224,10 @@ class FactorCache:
             if skipped:
                 sys.stderr.write(
                     f"warning: skipped {skipped} malformed or unverified line(s) "
-                    f"of factor cache {self._path}\n"
+                    f"of factor cache {self._path}; rewrote it without them\n"
                 )
+                write_atomic(self._path, "".join(
+                    _cache_line(fact) for fact in self._table.values()).encode())
 
     def get(self, n):
         with self._lock:
@@ -220,7 +240,7 @@ class FactorCache:
             self._table[fact.target] = fact
             if self._path is not None:
                 with self._path.open("a") as fh:
-                    fh.write(f"{fact.target},{fact}\n")
+                    fh.write(_cache_line(fact))
 
     def entries(self):
         """Every cached factorization, in insertion order."""
@@ -310,7 +330,7 @@ def _roots_mod_p(coeffs, p):
     if p <= 1000:
         return sorted(x for x in range(p) if poly_eval(cm, x, p) == 0)
     # g = gcd(x^p - x, f) collects the distinct linear factors
-    xp = _powmod_x(p, cm, p)
+    xp = _powmod_x_shift(0, p, cm, p)  # x^p
     xp_minus_x = list(xp)
     # subtract x
     if len(xp_minus_x) < 2:
@@ -318,18 +338,6 @@ def _roots_mod_p(coeffs, p):
     xp_minus_x[-2] = (xp_minus_x[-2] - 1) % p
     g = _poly_gcd_p(xp_minus_x, cm, p)
     return sorted(_split_linear(g, p))
-
-
-def _powmod_x(e, mod_poly, p):
-    """x^e reduced mod (mod_poly, p), by square and multiply."""
-    result = [1]
-    base = [1, 0]  # x
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod_poly, p)
-        base = _poly_mulmod(base, base, mod_poly, p)
-        e >>= 1
-    return result
 
 
 def _split_linear(g, p):
@@ -358,7 +366,7 @@ def _split_linear(g, p):
 
 
 def _powmod_x_shift(a, e, mod_poly, p):
-    """(x + a)^e reduced mod (mod_poly, p); deg(mod_poly) >= 2 assumed."""
+    """(x + a)^e reduced mod (mod_poly, p), by square and multiply."""
     result = [1]
     base = [1, a]
     while e:

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import io
 import json
 import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import FactorCache, FactorizationOverflow, PeriodicFunction
+from .arith import FactorCache, FactorizationOverflow, PeriodicFunction, write_atomic
 from .construction import (
     ConstructionProfile,
     ThinClass,
@@ -151,12 +151,20 @@ def _alpha_config(alpha):
     return {"kind": "untyped-float", "value": alpha}
 
 
+def _alpha_from_config(config):
+    """The alpha a report's config records: the inverse of _alpha_config."""
+    cfg = config["alpha"]
+    if cfg["kind"] == "algebraic":
+        return AlgebraicAlpha(tuple(cfg["minpoly"]), tuple(Fraction(x) for x in cfg["interval"]),
+                              q_context=config.get("q", 1))
+    if cfg["kind"] == "rational":
+        return Fraction(cfg["value"])
+    return cfg["value"]
+
+
 def _alpha_real(alpha, digits=17):
-    if isinstance(alpha, AlgebraicAlpha):
-        return alpha.value(digits)
-    if isinstance(alpha, Fraction):
-        return float(alpha) if digits <= 17 else alpha
-    return alpha
+    """An algebraic alpha as a number at `digits`; zeta takes the others as they are."""
+    return alpha.value(digits) if isinstance(alpha, AlgebraicAlpha) else alpha
 
 
 def make_report(command, config, results, seed):
@@ -172,18 +180,6 @@ def make_report(command, config, results, seed):
 
 def report_bytes(report) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
-
-
-def write_atomic(path, data: bytes):
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _emit(args, report):
@@ -227,8 +223,8 @@ def cmd_eval(args, seed):
         results = {"pole": True}
     else:
         results = {
-            "value_re": float(res.value.real if isinstance(res.value, complex) else res.value.real),
-            "value_im": float(res.value.imag if isinstance(res.value, complex) else res.value.imag),
+            "value_re": float(res.value.real),
+            "value_im": float(res.value.imag),
             "error_bound": res.abs_error_bound,
             "pole": False,
         }
@@ -353,12 +349,11 @@ def _per_n_rows(reports):
 
 
 def _sweep_one(job):
-    minpoly, interval, q, N, theta_str, known = job
-    alpha = AlgebraicAlpha(minpoly, tuple(Fraction(x) for x in interval), q_context=q)
+    alpha, q, N, theta, known = job
     cache = FactorCache()
     for fact in known:
         cache.put(fact)
-    sweep = density_sweep(alpha, [N], Fraction(theta_str), q, cache)
+    sweep = density_sweep(alpha, [N], theta, q, cache)
     return sweep.reports, cache.entries()[len(known):]  # what this window added
 
 
@@ -368,10 +363,7 @@ def _run_sweep(alpha, n_list, theta, q, cache, threads):
     from concurrent.futures import ProcessPoolExecutor
 
     known = cache.entries()
-    jobs = [
-        (alpha.minpoly, (str(alpha.interval[0]), str(alpha.interval[1])), q, N, str(theta), known)
-        for N in n_list
-    ]
+    jobs = [(alpha, q, N, theta, known) for N in n_list]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         chunks = list(pool.map(_sweep_one, jobs))
     reports = []
@@ -394,10 +386,8 @@ def cmd_construct_phi(args, seed):
     else:
         raise ValueError(f"unknown profile {args.profile!r}")
     if args.n1 or args.digits:
-        profile = ConstructionProfile(profile.theta, args.n1 or profile.n1, q,
-                                      profile.density_floor, profile.contraction,
-                                      profile.min_a_size, profile.delta,
-                                      args.digits or profile.digits, profile.name)
+        profile = dataclasses.replace(profile, n1=args.n1 or profile.n1,
+                                      digits=args.digits or profile.digits)
     f = _parse_f(args) if args.f else PeriodicFunction(q, tuple([1] * q))
     cache = _cache_from(args)
     report, state, log_rows = run_construction(f, alpha, profile, args.stages, cache)
@@ -503,9 +493,7 @@ def _recheck(payload, fraction, seed):
         return rng.sample(list(rows), min(k, len(rows)))
 
     if command == "factor-ideals":
-        alpha = AlgebraicAlpha(tuple(config["alpha"]["minpoly"]),
-                               tuple(Fraction(x) for x in config["alpha"]["interval"]),
-                               q_context=config.get("q", 1))
+        alpha = _alpha_from_config(config)
         for row in sample(results["rows"]):
             n, norm, adm, residual = row
             rec = ideal_factorize(alpha, n)
@@ -514,9 +502,7 @@ def _recheck(payload, fraction, seed):
             if norm_value(alpha, n) != norm or expect != adm or rec.residual_norm != residual:
                 mismatches.append(n)
     elif command == "density":
-        alpha = AlgebraicAlpha(tuple(config["alpha"]["minpoly"]),
-                               tuple(Fraction(x) for x in config["alpha"]["interval"]),
-                               q_context=config.get("q", 1))
+        alpha = _alpha_from_config(config)
         windows = results.get("windows", [])
         for wj in sample(windows):
             w = WindowSpec(wj["N"], Fraction(config["theta"]), wj["q"], wj["b"])
@@ -526,14 +512,7 @@ def _recheck(payload, fraction, seed):
                 mismatches.append((wj["N"], wj["b"]))
     elif command == "eval":
         f = PeriodicFunction(config["q"], _parse_values(",".join(config["f"])))
-        alpha_cfg = config["alpha"]
-        if alpha_cfg["kind"] == "rational":
-            alpha = float(Fraction(alpha_cfg["value"]))
-        elif alpha_cfg["kind"] == "algebraic":
-            alpha = AlgebraicAlpha(tuple(alpha_cfg["minpoly"]),
-                                   tuple(Fraction(x) for x in alpha_cfg["interval"])).value(17)
-        else:
-            alpha = alpha_cfg["value"]
+        alpha = _alpha_real(_alpha_from_config(config))
         res = f_eval(complex(config["sigma"], config["t"]), f, alpha, EXPLORE)
         checked += 1
         if results.get("pole"):
@@ -543,15 +522,7 @@ def _recheck(payload, fraction, seed):
             mismatches.append("value")
     elif command == "zeros":
         f = PeriodicFunction(config["q"], _parse_values(",".join(config["f"])))
-        alpha_cfg = config["alpha"]
-        if alpha_cfg["kind"] == "rational":
-            alpha = Fraction(alpha_cfg["value"])
-        elif alpha_cfg["kind"] == "algebraic":
-            alpha = AlgebraicAlpha(tuple(alpha_cfg["minpoly"]),
-                                   tuple(Fraction(x) for x in alpha_cfg["interval"]))
-        else:
-            alpha = alpha_cfg["value"]
-        F = _zero_evaluator(f, alpha)
+        F = _zero_evaluator(f, _alpha_from_config(config))
         for zj in sample(results.get("zeros", [])):
             checked += 1
             if abs(complex(F(complex(zj["sigma"], zj["t"])))) > 1e-7:

@@ -32,6 +32,7 @@ from .zeta import (
     abs_tail_with_bound,
     class_partial_sum,
     class_tail,
+    to_ctx,
 )
 
 
@@ -122,7 +123,7 @@ def bohr_solve(radii, target, ctx=fp):
         raise ValueError("need at least one radius")
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
-    radii_c = [ctx.mpf(r) if ctx is mp else float(r) for r in radii]
+    radii_c = [ctx.mpf(r) for r in radii]
     order = sorted(range(len(radii_c)), key=lambda i: (-radii_c[i], i))
     sorted_r = [radii_c[i] for i in order]
     k = len(sorted_r)
@@ -168,7 +169,7 @@ def bohr_solve(radii, target, ctx=fp):
             cos_phi = (aw * aw + r * r - rho * rho) / (2 * aw * r)
             cos_phi = max(-1, min(1, cos_phi))
             phi = ctx.acos(cos_phi)
-            u = unit(w) * ctx.expjpi(phi / ctx.pi) if ctx is mp else unit(w) * fp.exp(1j * phi)
+            u = unit(w) * ctx.expjpi(phi / ctx.pi)
         phases[i] = u
         w = w - r * u
 
@@ -189,15 +190,14 @@ def bohr_solve(radii, target, ctx=fp):
             cos_a = (aw * aw + ra * ra - rb * rb) / (2 * aw * ra)
             cos_a = max(-1, min(1, cos_a))
             ang = ctx.acos(cos_a)
-            rot = ctx.expjpi(ang / ctx.pi) if ctx is mp else fp.exp(1j * ang)
-            ua = unit(w) * rot
+            ua = unit(w) * ctx.expjpi(ang / ctx.pi)
             rem = w - ra * ua
             ub = unit(rem)
         phases[k - 2], phases[k - 1] = ua, ub
 
     out = [None] * k
     for slot, i in enumerate(order):
-        out[i] = ctx.phase(phases[slot]) if ctx is mp else fp.phase(phases[slot])
+        out[i] = ctx.phase(phases[slot])
     return out
 
 
@@ -297,7 +297,7 @@ def select_sigma(f: PeriodicFunction, alpha, profile: ConstructionProfile) -> Si
     while the left side stays bounded."""
     n1 = profile.n1
     prec = profile.precision()
-    alpha_val = _alpha_mpf(alpha, profile.digits)
+    alpha_val = alpha.value(profile.digits)
     contraction = float(profile.contraction)
     with mp.workdps(profile.digits + 10):
         for k in range(1, 80):
@@ -330,26 +330,18 @@ def _abs_head(f, alpha_val, sigma, n_top, prec):
     return total, bound
 
 
-def _coeff_mpc(f, n):
-    """f(n) as an exact mpc at the current working precision."""
-    re, im = f.exact(n)
-    return mp.mpc(mp.mpf(re.numerator) / re.denominator,
-                  mp.mpf(im.numerator) / im.denominator)
-
-
-def _coeff_is_zero(f, n):
-    re, im = f.exact(n)
-    return re == 0 and im == 0
-
-
-def _alpha_mpf(alpha, digits):
-    if isinstance(alpha, AlgebraicAlpha):
-        return alpha.value(digits)
-    if isinstance(alpha, Fraction):
-        with mp.workdps(digits + 10):
-            return mp.mpf(alpha.numerator) / alpha.denominator
-    with mp.workdps(digits + 10):
-        return mp.mpf(alpha)
+def _class_sums(f, alpha_val, sigma, n_top, prec):
+    """f(b) sum_{0 <= n <= n_top, n = b (mod q)} (n+alpha)^-sigma for each
+    class b, at the current working precision; every phase there is 1."""
+    sums = []
+    for b in range(f.period):
+        fb = to_ctx(mp, f.exact(b))
+        if fb == 0:
+            sums.append(mp.mpc(0))
+            continue
+        val, _ = class_partial_sum(f, alpha_val, sigma, n_top, b, prec)
+        sums.append(fb * val)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +436,10 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
         a_val = state.alpha_val
         # (n+alpha)^-sigma once per member; every use below reads it
         weight = {n: (n + a_val) ** (-sigma) for n in records}
+        c = to_ctx(mp, profile.contraction)
         new_sums = list(state.class_sums)
         for b in range(q):
-            fb = _coeff_mpc(f, b)  # every member of the class shares it
+            fb = to_ctx(mp, f.exact(b))  # every member of the class shares it
             fb_abs = abs_coefficient(f, b, mp)
             members_a, members_b = class_a[b], class_b[b]
             # drift: everything in the class that is already pinned down
@@ -481,23 +474,22 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
             bound_ok = achieved <= limit + tol
             dens_limit = (1 - profile.density_floor) * m_j / q
             ratio_applicable = len(members_b) <= dens_limit and s2 > 0
-            c = mp.mpf(profile.contraction.numerator) / profile.contraction.denominator
             ratio_ok = (s3 - s2 > c * (s3 + s2)) if ratio_applicable else None
             reports.append({
                 "b": b,
                 "count_A": len(members_a),
                 "count_B": len(members_b),
                 "density_ok": len(members_a) >= profile.density_floor * m_j / q,
-                "partial_abs_S1": _f(s1),
-                "locked_weight_S2": _f(s2),
-                "free_weight_S3": _f(s3),
-                "tail_weight_S4": _f(s4),
-                "drift_re": _f(mp.re(drift)),
-                "drift_im": _f(mp.im(drift)),
-                "target_re": _f(mp.re(target)),
-                "target_im": _f(mp.im(target)),
-                "achieved_abs": _f(achieved),
-                "class_bound": _f(limit),
+                "partial_abs_S1": float(s1),
+                "locked_weight_S2": float(s2),
+                "free_weight_S3": float(s3),
+                "tail_weight_S4": float(s4),
+                "drift_re": float(mp.re(drift)),
+                "drift_im": float(mp.im(drift)),
+                "target_re": float(mp.re(target)),
+                "target_im": float(mp.im(target)),
+                "achieved_abs": float(achieved),
+                "class_bound": float(limit),
                 "class_bound_ok": bool(bound_ok),
                 "ratio_check": ratio_ok if ratio_ok is None else bool(ratio_ok),
             })
@@ -509,7 +501,6 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
 
         lhs = abs(mp.fsum(new_sums))
         tail, tail_bound = abs_tail_with_bound(f, a_val, sigma, n_next, prec)
-        c = mp.mpf(profile.contraction.numerator) / profile.contraction.denominator
         rhs = c * (tail - tail_bound)
         induction_ok = bool(lhs + tol < rhs)
 
@@ -521,10 +512,6 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
         new_private=len(private_keys), new_default=new_defaults,
     )
     return new_state, report
-
-
-def _f(x):
-    return float(x)
 
 
 def _aim_private(state, fb, eligible, window_records, members_a, target, weight):
@@ -613,18 +600,11 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
     digits = profile.digits
     cert = select_sigma(f, alpha, profile)
     sigma = cert.sigma
-    alpha_val = _alpha_mpf(alpha, digits)
+    alpha_val = alpha.value(digits)
     prec = profile.precision()
 
     with mp.workdps(digits + 10):
-        # initial class sums over n <= N1, where every phase is 1
-        sums = []
-        for b in range(q):
-            if _coeff_is_zero(f, b):
-                sums.append(mp.mpc(0))
-                continue
-            val, _ = class_partial_sum(f, alpha_val, sigma, profile.n1, b, prec)
-            sums.append(_coeff_mpc(f, b) * val)
+        sums = _class_sums(f, alpha_val, sigma, profile.n1, prec)
 
     phi = PhiAssignment(digits)
     state = StageState(1, profile.n1, sigma, alpha_val, sums, phi)
@@ -670,25 +650,18 @@ def _recompute_from_scratch(f, alpha, alpha_val, sigma, n1, n_top, phi, cache, p
     The head is therefore summed term by term without factorizations
     (falling back to the zeta route only beyond the direct cap); window
     terms always rebuild phi(n) from their own factorization."""
+    q = f.period
+    coeff = [to_ctx(mp, f.exact(b)) for b in range(q)]
     if n1 <= _DIRECT_HEAD_CAP:
-        head_terms = [
-            _coeff_mpc(f, n) * (n + alpha_val) ** (-sigma)
-            for n in range(n1 + 1)
-            if not _coeff_is_zero(f, n)
-        ]
-        head = mp.fsum(head_terms)
+        head = mp.fsum(coeff[n % q] * (n + alpha_val) ** (-sigma)
+                       for n in range(n1 + 1) if coeff[n % q] != 0)
     else:
-        head = mp.mpc(0)
-        for b in range(f.period):
-            if _coeff_is_zero(f, b):
-                continue
-            val, _ = class_partial_sum(f, alpha_val, sigma, n1, b, prec)
-            head += _coeff_mpc(f, b) * val
+        head = sum(_class_sums(f, alpha_val, sigma, n1, prec), mp.mpc(0))
     terms = []
     for n in range(n1 + 1, n_top + 1):
-        if _coeff_is_zero(f, n):
+        if coeff[n % q] == 0:
             continue
         rec = ideal_factorize(alpha, n, cache)
         phi_n = phi.phase_of_record(rec)
-        terms.append(_coeff_mpc(f, n) * phi_n * (n + alpha_val) ** (-sigma))
+        terms.append(coeff[n % q] * phi_n * (n + alpha_val) ** (-sigma))
     return head + mp.fsum(terms)

@@ -26,6 +26,7 @@ from .arith import (
     FactorizationOverflow,
     factorize,
     hensel_lift,
+    poly_derivative,
     poly_eval,
     poly_roots_mod_prime_power,
 )
@@ -47,8 +48,7 @@ def _content(coeffs):
 
 def _sturm_chain(coeffs):
     chain = [[Fraction(c) for c in coeffs]]
-    d = len(coeffs) - 1
-    chain.append([Fraction(c * (d - i)) for i, c in enumerate(coeffs[:-1])])
+    chain.append([Fraction(c) for c in poly_derivative(coeffs)])
     while len(chain[-1]) > 1:
         rem = _poly_rem(chain[-2], chain[-1])
         if not rem:
@@ -122,8 +122,7 @@ def _int_det(rows):
 def poly_discriminant(coeffs):
     """disc(P) = (-1)^(d(d-1)/2) Res(P, P') / lead(P), exactly."""
     d = len(coeffs) - 1
-    deriv = [c * (d - i) for i, c in enumerate(coeffs[:-1])]
-    res = _sylvester_resultant(coeffs, deriv)
+    res = _sylvester_resultant(coeffs, poly_derivative(coeffs))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * res // coeffs[0]
 
@@ -210,10 +209,10 @@ class AlgebraicAlpha:
         with mp.workdps(dps + 10):
             a = mp.mpf(lo.numerator) / lo.denominator
             b = mp.mpf(hi.numerator) / hi.denominator
-            fa = _mp_poly(self.minpoly, a)
+            fa = poly_eval(self.minpoly, a)
             for _ in range(mp.prec + 4):
                 mid = (a + b) / 2
-                fm = _mp_poly(self.minpoly, mid)
+                fm = poly_eval(self.minpoly, mid)
                 if fm == 0:
                     a = b = mid
                     break
@@ -226,13 +225,6 @@ class AlgebraicAlpha:
 
     def __str__(self):
         return f"root of {list(self.minpoly)} in ({self.interval[0]}, {self.interval[1]})"
-
-
-def _mp_poly(coeffs, x):
-    acc = mp.mpf(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 @dataclass(frozen=True)

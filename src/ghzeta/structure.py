@@ -121,9 +121,6 @@ class DecompositionResult:
     def characters(self):
         return [chi for chi, _ in self.terms]
 
-    def term_polynomials(self):
-        return [(chi, dict(poly)) for chi, poly in self.terms]
-
     def coefficient(self, m: int) -> Cyclo:
         """Coefficient of m^(-s) of the recombined series, exactly."""
         total = Cyclo.zero()

@@ -135,9 +135,6 @@ class ZeroSearchResult:
     cells: list
     zeros: list  # refined, deduplicated, inside the region
 
-    def zero_list(self):
-        return list(self.zeros)
-
 
 RESIDUAL_TARGET = 1e-8
 

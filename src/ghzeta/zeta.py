@@ -30,10 +30,19 @@ One head sum, one starting-shift rule and one correction routine serve
 both the ordinary evaluation and f_eval at a cancelled pole, where the
 per-class pole parts w^(1-s)/(s-1) are replaced by their combined
 expansion around s = 1 and everything else is evaluated unchanged.
+
+Each public call chooses its tier once, from its PrecisionProfile
+(`_tier`): mpmath's `fp` context on plain floats, or `mp` at
+working_digits + 10 digits.  Everything below that choice is written once
+against the context `ctx`, and every input enters it through one
+converter (`to_ctx`), so exact inputs (Fraction shifts and the exact
+coefficients of a PeriodicFunction) are rounded once, at working
+precision.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,36 +112,41 @@ class EvalResult:
         return complex(self.value)
 
 
-def _as_s(s):
-    if isinstance(s, ComplexPoint):
-        return complex(s)
-    if isinstance(s, Fraction):
-        return complex(float(s))
-    return complex(s)
+def _tier(prof: PrecisionProfile):
+    """(ctx, eps, precision) for one call: the only place the tier is chosen.
 
-
-def _to_mpc(s):
-    """s as an mpc at the current working precision, without a float detour."""
-    if isinstance(s, (mp.mpc, mp.mpf)):
-        return mp.mpc(s)
-    if isinstance(s, ComplexPoint):
-        return mp.mpc(s.sigma, s.t)
-    if isinstance(s, Fraction):
-        return mp.mpc(mp.mpf(s.numerator) / s.denominator)
-    return mp.mpc(s)
-
-
-def _ctx_and_eps(prof: PrecisionProfile):
+    Float profiles compute in mpmath's `fp` context (Python floats and
+    complex numbers, eps = 2^-50) and change no precision; the others
+    compute in `mp`, inside `precision`, at working_digits + 10 digits,
+    with eps = 10^-working_digits."""
     if prof.uses_floats:
-        return fp, 2.0**-50
-    return mp, float(mp.mpf(10) ** (-prof.working_digits))
+        return fp, 2.0**-50, nullcontext()
+    digits = prof.working_digits
+    return mp, float(Fraction(1, 10**digits)), mp.workdps(digits + 10)
+
+
+def to_ctx(ctx, x):
+    """x as a ctx number, rounded once at the current precision.
+
+    Fractions enter as numerator / denominator (float() in the fp tier), so
+    an exact value like 1/3 is correct to working precision; the (re, im)
+    Fraction pairs of PeriodicFunction.exact become complex numbers;
+    ComplexPoint, int, float, complex, mpf and mpc keep their kind."""
+    if isinstance(x, tuple):
+        return ctx.mpc(to_ctx(ctx, x[0]), to_ctx(ctx, x[1]))
+    if isinstance(x, ComplexPoint):
+        return ctx.mpc(x.sigma, x.t)
+    if isinstance(x, Fraction):
+        return float(x) if ctx is fp else mp.mpf(x.numerator) / x.denominator
+    if isinstance(x, (complex, mp.mpc)):
+        return ctx.mpc(x)
+    return ctx.mpf(x)
 
 
 def _em_shift(ctx, s, digits):
     """Starting shift T of the Euler-Maclaurin head: past |t|, so the
     corrections decay from the first, and deep enough for `digits`."""
-    t_abs = abs(ctx.im(s) if ctx is mp else s.imag)
-    return max(10, int(ctx.ceil(t_abs)), (digits + 1) // 2)
+    return max(10, int(ctx.ceil(abs(s.imag))), (digits + 1) // 2)
 
 
 def _em_core(ctx, s, a, tol, digits):
@@ -186,7 +200,7 @@ def _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum):
     """Add the correction terms to `value` (and their magnitudes to
     `magsum`) up to the order whose remainder bound is smallest; returns
     (value, remainder_bound, magsum)."""
-    sigma = ctx.re(s) if ctx is mp else s.real
+    sigma = s.real
     # t_k = B_{2k}/(2k)! * (s)_{2k-1} * w^(-s-2k+1), built by ratios:
     # t_{k+1} = t_k * [b_{k+1}/b_k] * (s+2k-1)(s+2k) / w^2
     b_cur = ctx.bernoulli(2) / 2  # B_2/2!
@@ -213,25 +227,12 @@ def _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum):
 
 
 def _eval_hurwitz(s, x, prof):
-    """(value, total_bound) for zeta(s, x), x > 0 real, s != 1."""
-    ctx, eps = _ctx_and_eps(prof)
-    if prof.uses_floats:
-        sc = _as_s(s)
-        value, bound, magsum = _em_core(ctx, sc, float(x), prof.target_tolerance, 15)
-        round_slop = 8 * eps * float(magsum)
-        return value, bound + round_slop
-    with mp.workdps(prof.working_digits + 10):
-        sc = _to_mpc(s)
-        xv = _to_mpf(x)
-        value, bound, magsum = _em_core(mp, sc, xv, prof.target_tolerance, prof.working_digits)
-        round_slop = 8 * eps * float(magsum)
-        return value, bound + round_slop
-
-
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+    """(value, total_bound) for zeta(s, x), x > 0 real, s != 1; `s` and `x`
+    are numbers of prof's tier, at the precision its public caller set."""
+    ctx, eps, _ = _tier(prof)
+    value, bound, magsum = _em_core(ctx, ctx.mpc(s), x, prof.target_tolerance,
+                                    prof.working_digits)
+    return value, bound + 8 * eps * float(magsum)
 
 
 def hurwitz_zeta(s, x, prof: PrecisionProfile = EXPLORE) -> EvalResult:
@@ -241,26 +242,16 @@ def hurwitz_zeta(s, x, prof: PrecisionProfile = EXPLORE) -> EvalResult:
     positive shift evaluates).  Exactly at s = 1 raises PoleAtOne; within
     1e-12 of the pole the result is flagged instead of fabricated.
     """
-    xf = float(x)
-    if not xf > 0:
+    if not float(x) > 0:
         raise ValueError("shift x must be positive")
-    sc = _as_s(s)
-    if sc == 1:
-        raise PoleAtOne("zeta(s, x) has its simple pole at s = 1")
-    if abs(sc - 1) < POLE_TOLERANCE:
-        return EvalResult(None, float("inf"), pole_flag=True)
-    value, bound = _eval_hurwitz(s, x, prof)
-    return EvalResult(value, bound)
-
-
-def _class_shifts(f: PeriodicFunction, alpha, ctx):
-    """(r + alpha)/q for each residue class r, as ctx reals."""
-    q = f.period
-    if ctx is fp:
-        a = float(alpha)
-        return [(r + a) / q for r in range(q)]
-    a = _to_mpf(alpha) if not isinstance(alpha, mp.mpf) else alpha
-    return [(r + a) / q for r in range(q)]
+    ctx, _, precision = _tier(prof)
+    with precision:
+        s = ctx.mpc(to_ctx(ctx, s))
+        if s == 1:
+            raise PoleAtOne("zeta(s, x) has its simple pole at s = 1")
+        if abs(s - 1) < POLE_TOLERANCE:
+            return EvalResult(None, float("inf"), pole_flag=True)
+        return EvalResult(*_eval_hurwitz(s, to_ctx(ctx, x), prof))
 
 
 def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> EvalResult:
@@ -270,78 +261,52 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
     At s = 1 the series has a simple pole iff sum_r f(r) != 0; in that case
     an exact hit raises PoleAtOne and a near hit (within 1e-12) comes back
     pole-flagged.  When the period sum vanishes the pole cancels and the
-    value is computed stably from the combined pole parts.
+    value is computed stably from the combined pole parts.  Coefficients
+    enter from their exact values at working precision.
     """
     if not 0 < float(alpha) <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    sc = _as_s(s)
-    res_re, res_im = f.coefficient_sum()
-    has_pole = not (res_re == 0 and res_im == 0)
-    near_pole = abs(sc - 1) < POLE_TOLERANCE
-    if near_pole and has_pole:
-        if sc == 1:
-            raise PoleAtOne("F(s) has a pole at s = 1 (nonzero period sum)")
-        return EvalResult(None, float("inf"), pole_flag=True)
-    if near_pole:
-        return _f_eval_near_cancelled_pole(sc, f, alpha, prof)
-
-    ctx, eps = _ctx_and_eps(prof)
-    q = f.period
-    per_class_tol = prof.target_tolerance / max(1, sum(1 for v in f.abs_values() if v))
-
-    def run(ctx_s):
-        shifts = _class_shifts(f, alpha, ctx)
+    ctx, eps, precision = _tier(prof)
+    with precision:
+        s = ctx.mpc(to_ctx(ctx, s))
+        a = to_ctx(ctx, alpha)
+        q = f.period
+        coeffs = [to_ctx(ctx, f.exact(r)) for r in range(q)]
+        classes = [(fr, (r + a) / q) for r, fr in enumerate(coeffs) if fr != 0]
+        res_re, res_im = f.coefficient_sum()
+        has_pole = not (res_re == 0 and res_im == 0)
+        if abs(s - 1) < POLE_TOLERANCE:
+            if not has_pole:
+                return _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof)
+            if s == 1:
+                raise PoleAtOne("F(s) has a pole at s = 1 (nonzero period sum)")
+            return EvalResult(None, float("inf"), pole_flag=True)
+        sub = PrecisionProfile(prof.working_digits, prof.target_tolerance / max(1, len(classes)))
         total = ctx.mpc(0)
         bound = 0.0
-        qs = ctx.mpf(q) ** (-ctx_s)
-        for r in range(q):
-            fr = f(r)
-            if fr == 0:
-                continue
-            sub = PrecisionProfile(prof.working_digits, per_class_tol)
-            val, b = _eval_hurwitz(ctx_s, shifts[r], sub)
-            total += (ctx.mpc(fr.real, fr.imag) if ctx is mp else fr) * val
-            bound += abs(fr) * b
-        return qs * total, float(abs(qs)) * bound
-
-    if prof.uses_floats:
-        value, bound = run(sc)
-        return EvalResult(value, bound)
-    with mp.workdps(prof.working_digits + 10):
-        value, bound = run(_to_mpc(s))
-        return EvalResult(value, bound)
+        for fr, shift in classes:
+            val, b = _eval_hurwitz(s, shift, sub)
+            total += fr * val
+            bound += float(abs(fr)) * b
+        qs = ctx.mpf(q) ** (-s)
+        return EvalResult(qs * total, float(abs(qs)) * bound)
 
 
-def _f_eval_near_cancelled_pole(sc, f, alpha, prof):
+def _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof):
     # Period sum is zero: the per-class pole parts w_r^(1-s)/(s-1) combine to
     # an analytic function; expand sum_r f(r) w_r^(1-s) around s = 1.  The
     # rest of each class is the Euler-Maclaurin sum at one shared shift T,
     # doubled like _em_core's until the truncation meets the tolerance.
-    ctx, eps = _ctx_and_eps(prof)
     tol = prof.target_tolerance
 
-    def run(s):
-        T = _em_shift(ctx, s, prof.working_digits)
-        for _ in range(_MAX_SHIFT_ESCALATIONS):
-            value, bound, truncation = at_shift(s, T)
-            if truncation <= tol:
-                return value, bound
-            T *= 2
-        raise PrecisionExhausted(
-            f"cancelled-pole bound {truncation:.3e} misses tolerance {tol:.3e} at s={complex(s)}"
-        )
-
-    def at_shift(s, T):
+    def at_shift(T):
         """(value, bound, truncation part of the bound) at shift T."""
         total = ctx.mpc(0)
         bound = 0.0
         truncation = 0.0
         logs = []  # (f(r), |f(r)|, log w_r) per class
-        for r, shift in enumerate(_class_shifts(f, alpha, ctx)):
-            fr = f(r)
-            if fr == 0:
-                continue
-            frc = ctx.mpc(fr.real, fr.imag) if ctx is mp else fr
+        for frc, shift in classes:
+            fr_abs = float(abs(frc))
             head, magsum = _em_head(ctx, s, shift, T)
             w = T + shift
             w_pow_neg_s = w ** (-s)
@@ -349,10 +314,10 @@ def _f_eval_near_cancelled_pole(sc, f, alpha, prof):
             corr, corr_bound, magsum = _em_corrections(
                 ctx, s, w, w_pow_neg_s, ctx.mpc(0), magsum + abs(w_pow_neg_s) / 2)
             total += frc * (head + w_pow_neg_s / 2 + corr)
-            bound += abs(fr) * (corr_bound + 8 * eps * float(magsum))
-            truncation += abs(fr) * corr_bound
-            logs.append((frc, abs(fr), ctx.log(w)))
-        qs = ctx.mpf(f.period) ** (-s)
+            bound += fr_abs * (corr_bound + 8 * eps * float(magsum))
+            truncation += fr_abs * corr_bound
+            logs.append((frc, fr_abs, ctx.log(w)))
+        qs = ctx.mpf(q) ** (-s)
         abs_qs = float(abs(qs))
         # sum_r f(r) w_r^(1-s)/(s-1) = -sum_{m>=1} u^(m-1)/m! sum_r f(r) L_r^m
         # with u = 1-s, |u| < 1e-12; the orders past m add at most
@@ -371,10 +336,15 @@ def _f_eval_near_cancelled_pole(sc, f, alpha, prof):
             powers = [p * L for p, (_, _, L) in zip(powers, logs)]
         return qs * (total - pole), abs_qs * (bound + rest), abs_qs * (truncation + rest)
 
-    if prof.uses_floats:
-        return EvalResult(*run(sc))
-    with mp.workdps(prof.working_digits + 10):
-        return EvalResult(*run(_to_mpc(sc)))
+    T = _em_shift(ctx, s, prof.working_digits)
+    for _ in range(_MAX_SHIFT_ESCALATIONS):
+        value, bound, truncation = at_shift(T)
+        if truncation <= tol:
+            return EvalResult(value, bound)
+        T *= 2
+    raise PrecisionExhausted(
+        f"cancelled-pole bound {truncation:.3e} misses tolerance {tol:.3e} at s={complex(s)}"
+    )
 
 
 def abs_tail(f: PeriodicFunction, alpha, sigma, N: int, prof: PrecisionProfile = EXPLORE):
@@ -385,24 +355,19 @@ def abs_tail(f: PeriodicFunction, alpha, sigma, N: int, prof: PrecisionProfile =
 
 
 def abs_coefficient(f: PeriodicFunction, r: int, ctx):
-    """|f(r)| at ctx precision, from the exact stored value."""
+    """|f(r)| as a ctx number, from the exact stored value."""
     re, im = f.exact(r)
-    mag2 = re * re + im * im
-    if mag2 == 0:
-        return ctx.mpf(0)
     if im == 0:
-        return abs(ctx.mpf(re.numerator) / re.denominator) if ctx is mp else abs(float(re))
-    if ctx is fp:
-        return fp.sqrt(float(mag2))
-    return mp.sqrt(mp.mpf(mag2.numerator) / mag2.denominator)
+        return abs(to_ctx(ctx, re))
+    return ctx.sqrt(to_ctx(ctx, re * re + im * im))
 
 
 def abs_tail_with_bound(f: PeriodicFunction, alpha, sigma, N: int, prof: PrecisionProfile = EXPLORE):
     """(value, bound) for abs_tail: the sum over residue classes of class_tail."""
-    ctx, _ = _ctx_and_eps(prof)
+    ctx, _, precision = _tier(prof)
     total = ctx.mpf(0)
     bound = 0.0
-    with mp.workdps(prof.working_digits + 10):  # the mp tier sums at working precision
+    with precision:
         for r in range(f.period):
             val, b = class_tail(f, alpha, sigma, N, r, prof)
             total += val
@@ -416,22 +381,17 @@ def class_tail(f: PeriodicFunction, alpha, sigma, N: int, r: int,
     one Hurwitz zeta value at real argument.  Requires sigma > 1."""
     if float(sigma) <= 1:
         raise DivergesAtOne("absolute tail diverges for sigma <= 1")
-    ctx, _ = _ctx_and_eps(prof)
+    ctx, _, precision = _tier(prof)
     q = f.period
     n0 = r + q * ((N - r) // q + 1)  # smallest n > N with n = r (mod q)
-
-    def run(sg, a):
+    with precision:
         a_fr = abs_coefficient(f, r, ctx)
         if a_fr == 0:
             return ctx.mpf(0), 0.0
-        val, b = _eval_hurwitz(sg, (n0 + a) / q, prof)
+        sg = to_ctx(ctx, sigma)
+        val, b = _eval_hurwitz(sg, (n0 + to_ctx(ctx, alpha)) / q, prof)
         weight = a_fr * ctx.mpf(q) ** (-sg)
-        return weight * ctx.re(val), float(weight) * b
-
-    if prof.uses_floats:
-        return run(float(sigma), float(alpha))
-    with mp.workdps(prof.working_digits + 10):
-        return run(_to_mpf(sigma), _to_mpf(alpha))
+        return weight * val.real, float(weight) * b
 
 
 def class_partial_sum(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
@@ -441,19 +401,13 @@ def class_partial_sum(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
     q = f.period
     r = residue % q
     count = (N - r) // q + 1 if N >= r else 0
+    ctx, _, precision = _tier(prof)
     if count <= 0:
-        return (0.0 if prof.uses_floats else mp.mpf(0)), 0.0
-    ctx, _ = _ctx_and_eps(prof)
-
-    def run(sg, a):
+        return ctx.mpf(0), 0.0
+    with precision:
+        sg = to_ctx(ctx, sigma)
+        a = to_ctx(ctx, alpha)
         qs = ctx.mpf(q) ** (-sg)
         lo, b1 = _eval_hurwitz(sg, (r + a) / q, prof)
         hi, b2 = _eval_hurwitz(sg, (r + q * count + a) / q, prof)
-        lo = lo.real if ctx is fp else mp.re(lo)
-        hi = hi.real if ctx is fp else mp.re(hi)
-        return qs * (lo - hi), float(qs) * (b1 + b2)
-
-    if prof.uses_floats:
-        return run(float(sigma), float(alpha))
-    with mp.workdps(prof.working_digits + 10):
-        return run(_to_mpf(sigma), _to_mpf(alpha))
+        return qs * (lo.real - hi.real), float(qs) * (b1 + b2)

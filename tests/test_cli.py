@@ -44,6 +44,17 @@ def test_eval_cancelled_pole_high_precision(tmp_path):
     assert err <= res["error_bound"]
 
 
+def test_eval_non_dyadic_coefficient_to_working_digits(tmp_path):
+    # f = (1/3, 1) at alpha = 1 sums to pi^2/12; 1/3 must not pass through a float
+    code, payload = run_cli(
+        ["eval", "--sigma", "2", "--alpha", "1", "--f", "1/3,1", "--digits", "40"], tmp_path,
+    )
+    assert code == 0
+    with mpmath.workdps(50):
+        ref = mpmath.pi**2 / 12
+        assert abs(mpmath.mpf(payload["results"]["value_str"][0]) - ref) <= mpmath.mpf(10) ** -38 * ref
+
+
 def test_eval_high_precision_and_algebraic(tmp_path):
     code, payload = run_cli(
         ["eval", "--sigma", "2", "--t", "1.5", "--minpoly", "1,2,-1",
@@ -130,7 +141,12 @@ def test_factor_ideals_ignores_corrupt_cache_line(tmp_path, capsys, bad):
     assert code == 0
     assert payload["results"]["rows"] == [[7, 34, "17^1@7", 2]]
     assert f"skipped 1 malformed or unverified line(s) of factor cache {cache}" in capsys.readouterr().err
-    assert cache.read_text().splitlines() == [bad, "34,2^1 17^1"]
+    assert cache.read_text().splitlines() == ["34,2^1 17^1"]
+    # the load dropped the bad line from the file, so the next run is quiet
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0
+    assert payload["results"]["rows"] == [[7, 34, "17^1@7", 2]]
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_verify_catches_corruption(tmp_path):

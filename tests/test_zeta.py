@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -13,6 +14,7 @@ from ghzeta.zeta import (
     EXPLORE,
     PoleAtOne,
     PrecisionExhausted,
+    EvalResult,
     PrecisionProfile,
     abs_tail,
     abs_tail_with_bound,
@@ -23,6 +25,7 @@ from ghzeta.zeta import (
 )
 
 ONE = PeriodicFunction.constant_one()
+THIRD = Fraction(1, 3)
 
 
 def direct_sum_bracket(sigma, x, n_terms=20000):
@@ -279,3 +282,43 @@ def test_precision_profile_validation():
     prof = PrecisionProfile(15, 1e-12)
     assert prof.uses_floats
     assert not CERTIFY.uses_floats
+
+
+def test_f_eval_non_dyadic_coefficient_at_working_precision():
+    # f = (1/3, 1) at alpha = 1: F(2) = (zeta(2, 1/2)/3 + zeta(2)) / 4 = pi^2/12;
+    # a coefficient rounded through a float would be off by about 2e-17
+    res = f_eval(2, PeriodicFunction(2, (THIRD, 1)), Fraction(1), PrecisionProfile(40, 1e-35))
+    with mp.workdps(60):
+        ref = (mp.zeta(2, mp.mpf(1) / 2) / 3 + mp.zeta(2)) / 4
+        assert abs(res.value - ref) <= res.abs_error_bound
+
+
+def test_cancelled_pole_non_dyadic_coefficients():
+    # f = (1/3, -1/3) at alpha = 1 is eta/3, which is ln(2)/3 at s = 1
+    res = f_eval(1, PeriodicFunction(2, (THIRD, -THIRD)), 1, PrecisionProfile(30, 1e-25))
+    with mp.workdps(40):
+        assert abs(res.value - mp.log(2) / 3) <= res.abs_error_bound
+
+
+PARITY_F = PeriodicFunction(3, (THIRD, Fraction(-2, 7), Fraction(5, 11)))
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2, 7), 0.37, 1])
+@pytest.mark.parametrize("s, sigma", [(complex(1.7, 4.2), 1.7), (Fraction(7, 3), Fraction(7, 3)),
+                                      (complex(-0.5, 11), 2.2)])
+def test_tiers_agree_within_float_bound(alpha, s, sigma):
+    def pair(result):
+        return (result.value, result.abs_error_bound) if isinstance(result, EvalResult) else result
+
+    calls = [
+        lambda prof: pair(hurwitz_zeta(s, alpha, prof)),
+        lambda prof: pair(f_eval(s, PARITY_F, alpha, prof)),
+        lambda prof: class_tail(PARITY_F, alpha, sigma, 20, 1, prof),
+        lambda prof: class_partial_sum(PARITY_F, alpha, sigma, 20, 2, prof),
+        lambda prof: abs_tail_with_bound(PARITY_F, alpha, sigma, 20, prof),
+    ]
+    for call in calls:
+        low, low_bound = call(EXPLORE)
+        high, high_bound = call(PrecisionProfile(30, 1e-25))
+        with mp.workdps(40):
+            assert abs(mp.mpc(low) - mp.mpc(high)) <= low_bound + high_bound
