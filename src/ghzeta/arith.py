@@ -16,6 +16,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 MAX_FACTOR_BITS = 128  # factorization targets are capped at 2**128
@@ -484,6 +485,11 @@ class PeriodicFunction:
 
     def coefficient_sum(self):
         """Sum of one period of values, exactly."""
+        return self._coefficient_sum
+
+    @cached_property
+    def _coefficient_sum(self):
+        # computed once per instance; no dataclass field, so eq/hash/repr are unchanged
         re = sum((v[0] for v in self.values), Fraction(0))
         im = sum((v[1] for v in self.values), Fraction(0))
         return (re, im)

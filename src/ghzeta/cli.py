@@ -21,6 +21,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from mpmath import mp
+
 from .arith import FactorCache, FactorizationOverflow, PeriodicFunction, write_atomic
 from .construction import (
     ConstructionProfile,
@@ -49,7 +51,6 @@ from .zeros import (
 )
 from .zeta import (
     DivergesAtOne,
-    EXPLORE,
     PoleAtOne,
     PrecisionExhausted,
     PrecisionProfile,
@@ -162,6 +163,11 @@ def _alpha_from_config(config):
     return cfg["value"]
 
 
+def _f_from_config(config):
+    """The coefficient function a report's config records."""
+    return PeriodicFunction(config["q"], _parse_values(",".join(config["f"])))
+
+
 def _alpha_real(alpha, digits=17):
     """An algebraic alpha as a number at `digits`; zeta takes the others as they are."""
     return alpha.value(digits) if isinstance(alpha, AlgebraicAlpha) else alpha
@@ -207,32 +213,47 @@ def _cache_from(args):
 # subcommands
 
 
+def _eval_results(f, alpha, sigma, t, digits):
+    """The `results` of an `eval` report: F(sigma + i t) at `digits`, computed
+    with at least 15 working digits and tolerance 10^-(working digits - 5)."""
+    working = max(15, digits)
+    prof = PrecisionProfile(working, 10.0 ** (-(working - 5)))
+    res = f_eval(complex(sigma, t), f, _alpha_real(alpha, max(digits, 17)), prof)
+    if res.pole_flag:
+        return {"pole": True}
+    results = {
+        "value_re": float(res.value.real),
+        "value_im": float(res.value.imag),
+        "error_bound": res.abs_error_bound,
+        "pole": False,
+    }
+    if digits > 17:
+        results["value_str"] = [mp.nstr(res.value.real, digits), mp.nstr(res.value.imag, digits)]
+    return results
+
+
 def cmd_eval(args, seed):
     f = _parse_f(args)
     alpha = _parse_alpha(args, allow_float=True)
     digits = args.digits or 15
-    prof = PrecisionProfile(max(15, digits), 10.0 ** (-(max(15, digits) - 5)))
-    s_parts = (args.sigma, args.t)
-    alpha_real = _alpha_real(alpha, max(digits, 17))
-    res = f_eval(complex(*s_parts), f, alpha_real, prof)
     config = {
         "sigma": args.sigma, "t": args.t, "alpha": _alpha_config(alpha),
         "f": _format_f(f), "q": f.period, "digits": digits,
     }
-    if res.pole_flag:
-        results = {"pole": True}
-    else:
-        results = {
-            "value_re": float(res.value.real),
-            "value_im": float(res.value.imag),
-            "error_bound": res.abs_error_bound,
-            "pole": False,
-        }
-        if digits > 17:
-            from mpmath import mp
+    return make_report("eval", config, _eval_results(f, alpha, args.sigma, args.t, digits), seed)
 
-            results["value_str"] = [mp.nstr(res.value.real, digits), mp.nstr(res.value.imag, digits)]
-    return make_report("eval", config, results, seed)
+
+def _value_strs_agree(reported, rebuilt, digits):
+    """Whether two `eval` results printed at `digits` can hold the same value:
+    each part of `value_str` within both error bounds plus the rounding of
+    both printed strings (at most |x| 10^(1-digits) / 2 each)."""
+    with mp.workdps(digits + 10):
+        for a, b in zip(reported["value_str"], rebuilt["value_str"]):
+            x, y = mp.mpf(a), mp.mpf(b)
+            slack = (abs(x) + abs(y)) * mp.mpf(10) ** (1 - digits) / 2
+            if abs(x - y) > reported["error_bound"] + rebuilt["error_bound"] + slack:
+                return False
+    return True
 
 
 def _series_for_structure(f, alpha):
@@ -245,8 +266,10 @@ def _series_for_structure(f, alpha):
 
 
 def cmd_decompose(args, seed):
-    f = _parse_f(args)
-    alpha = _parse_alpha(args)
+    return _decompose_report(_parse_f(args), _parse_alpha(args), seed)
+
+
+def _decompose_report(f, alpha, seed):
     series, prefactor = _series_for_structure(f, alpha)
     dec = decompose(series)
     cert = detect_pl_form(series, dec)
@@ -277,12 +300,14 @@ def cmd_decompose(args, seed):
 
 
 def cmd_classify(args, seed):
-    f = _parse_f(args)
-    alpha = _parse_alpha(args)
-    report = nonvanishing_verdict(f, alpha, zero_scan_tmax=args.tmax)
+    return _classify_report(_parse_f(args), _parse_alpha(args), args.tmax, seed)
+
+
+def _classify_report(f, alpha, tmax, seed):
+    report = nonvanishing_verdict(f, alpha, zero_scan_tmax=tmax)
     config = {
         "alpha": _alpha_config(alpha), "f": _format_f(f),
-        "q": f.period, "tmax": args.tmax,
+        "q": f.period, "tmax": tmax,
     }
     return make_report("classify", config, report.to_json(), seed)
 
@@ -511,18 +536,20 @@ def _recheck(payload, fraction, seed):
             if [[n, k.p, k.root] for n, k in rep.eligible] != wj["eligible"]:
                 mismatches.append((wj["N"], wj["b"]))
     elif command == "eval":
-        f = PeriodicFunction(config["q"], _parse_values(",".join(config["f"])))
-        alpha = _alpha_real(_alpha_from_config(config))
-        res = f_eval(complex(config["sigma"], config["t"]), f, alpha, EXPLORE)
+        digits = config["digits"]
+        rebuilt = _eval_results(_f_from_config(config), _alpha_from_config(config),
+                                config["sigma"], config["t"], digits)
         checked += 1
-        if results.get("pole"):
-            if not res.pole_flag:
+        if results.get("pole") or rebuilt["pole"]:
+            if bool(results.get("pole")) != rebuilt["pole"]:
                 mismatches.append("pole")
-        elif abs(complex(res.value) - complex(results["value_re"], results["value_im"])) > 1e-9:
+        elif abs(complex(rebuilt["value_re"], rebuilt["value_im"])
+                 - complex(results["value_re"], results["value_im"])) > 1e-9:
             mismatches.append("value")
+        elif "value_str" in rebuilt and not _value_strs_agree(results, rebuilt, digits):
+            mismatches.append("value_str")
     elif command == "zeros":
-        f = PeriodicFunction(config["q"], _parse_values(",".join(config["f"])))
-        F = _zero_evaluator(f, _alpha_from_config(config))
+        F = _zero_evaluator(_f_from_config(config), _alpha_from_config(config))
         for zj in sample(results.get("zeros", [])):
             checked += 1
             if abs(complex(F(complex(zj["sigma"], zj["t"])))) > 1e-7:
@@ -534,16 +561,11 @@ def _recheck(payload, fraction, seed):
             if not stage["induction_ok"]:
                 mismatches.append(stage["stage"])
     elif command in ("decompose", "classify"):
-        ns = argparse.Namespace(
-            alpha=None, minpoly=None, interval=None, q=config["q"],
-            f=",".join(config["f"]), tmax=config.get("tmax", 30.0),
-        )
-        if config["alpha"]["kind"] == "rational":
-            ns.alpha = config["alpha"]["value"]
+        f, alpha = _f_from_config(config), _alpha_from_config(config)
+        if command == "decompose":
+            rebuilt = _decompose_report(f, alpha, seed)
         else:
-            ns.minpoly = ",".join(str(c) for c in config["alpha"]["minpoly"])
-            ns.interval = ",".join(config["alpha"]["interval"])
-        rebuilt = (cmd_decompose if command == "decompose" else cmd_classify)(ns, seed)
+            rebuilt = _classify_report(f, alpha, config.get("tmax", 30.0), seed)
         checked += 1
         if json.dumps(rebuilt["results"], sort_keys=True) != json.dumps(results, sort_keys=True):
             mismatches.append("results")

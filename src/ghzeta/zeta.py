@@ -24,7 +24,20 @@ derivative of x^(-s); bounding |B_{2K+2}({x})| by |B_{2K+2}| and integrating
 
 This is the classical estimate: the remainder is at most the first omitted
 term magnified by |s+2K+1|/(sigma+2K+1).  All terms are produced
-incrementally through ratios, so nothing overflows even at large |t|.
+incrementally through ratios, so nothing overflows even at large |t|;
+the ratios b_{k+1}/b_k of b_k = B_2k/(2k)! come from a table built once
+per context and precision.  The order K is the first whose remainder
+bound meets both the tolerance and 1e-3 * ctx.eps * |value| (later
+orders would change no stored digit), as in Johansson, "Rigorous
+high-precision computation of the Hurwitz zeta function and its
+derivatives" (Numer. Algorithms 69, 2015); failing that, the order of
+smallest bound before the asymptotic series turns.
+
+Rounding: besides the arithmetic around it, each term (n+a)^(-s) is off
+by the rounding of s*log(n+a), about |s| * |log(n+a)| units of the
+context's roundoff.  In the float tier that dominates at large |t|, so
+the bound counts it (`_rounding_bound`); the mp tier's 10 guard digits
+absorb it.
 
 One head sum, one starting-shift rule and one correction routine serve
 both the ordinary evaluation and f_eval at a cancelled pole, where the
@@ -42,9 +55,11 @@ precision.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from mpmath import fp, mp
 
@@ -149,30 +164,32 @@ def _em_shift(ctx, s, digits):
     return max(10, int(ctx.ceil(abs(s.imag))), (digits + 1) // 2)
 
 
-def _em_core(ctx, s, a, tol, digits):
-    """One Euler-Maclaurin evaluation; returns (value, truncation_bound).
+def _em_core(ctx, eps, s, a, tol, digits):
+    """One Euler-Maclaurin evaluation; returns (value, total_bound).
 
     `s`, `a` are ctx numbers; `a` > 0 real; the pole term w^(1-s)/(s-1) is
-    included (caller must keep s away from 1).  The shift doubles until
-    the remainder bound meets the tolerance; with the correction order
-    capped at 30 this always happens within a few doublings for any
-    sigma > -55.
+    included (caller must keep s away from 1).  At each shift the
+    corrections stop at the first order that meets `tol` and the rounding
+    level (`_em_corrections`); the shift doubles until the remainder bound
+    meets the tolerance, which with the correction order capped at 30
+    happens within a few doublings for any sigma > -55.  The bound adds
+    the rounding of the chosen shift (`_rounding_bound`) to the remainder.
     """
     T = _em_shift(ctx, s, digits)
     best = None
     for _ in range(_MAX_SHIFT_ESCALATIONS):
-        value, bound, magsum = _em_fixed_shift(ctx, s, a, T)
+        value, bound, magsum = _em_fixed_shift(ctx, s, a, T, tol)
         if best is None or bound < best[1]:
-            best = (value, bound, magsum)
+            best = (value, bound, magsum, T)
         if bound <= tol:
             break
         T *= 2
-    value, bound, magsum = best
+    value, bound, magsum, T = best
     if bound > tol:
         raise PrecisionExhausted(
             f"remainder bound {bound:.3e} misses tolerance {tol:.3e} at s={complex(s)}"
         )
-    return value, bound, magsum
+    return value, bound + _rounding_bound(ctx, eps, s, a, T + a, magsum)
 
 
 def _em_head(ctx, s, a, T):
@@ -186,53 +203,84 @@ def _em_head(ctx, s, a, T):
     return head, magsum
 
 
-def _em_fixed_shift(ctx, s, a, T):
+def _em_fixed_shift(ctx, s, a, T, tol):
     head, magsum = _em_head(ctx, s, a, T)
     w = T + a
     w_pow_neg_s = w ** (-s)
     pole_part = w * w_pow_neg_s / (s - 1)  # w^(1-s)/(s-1)
     value = head + pole_part + w_pow_neg_s / 2
     magsum += abs(pole_part) + abs(w_pow_neg_s) / 2
-    return _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum)
+    return _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum, tol)
 
 
-def _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum):
+@cache
+def _bernoulli_ratios(ctx, prec):
+    """(b_1, (b_2/b_1, ..., b_{K+1}/b_K)) with b_k = B_2k/(2k)! and K the
+    maximal correction order, computed once per context and precision
+    `prec` (ctx's current one, the cache key): each ratio is the quotient
+    of the two b_k rounded at that precision."""
+    b = [ctx.bernoulli(2 * k) / ctx.factorial(2 * k)
+         for k in range(1, _MAX_CORRECTION_ORDER + 2)]
+    return b[0], tuple(b[k] / b[k - 1] for k in range(1, len(b)))
+
+
+def _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum, tol, offset=0):
     """Add the correction terms to `value` (and their magnitudes to
-    `magsum`) up to the order whose remainder bound is smallest; returns
-    (value, remainder_bound, magsum)."""
+    `magsum`); returns (value, remainder_bound, magsum).
+
+    Stops at the first order whose remainder bound is at most `tol` and
+    at most 1e-3 * ctx.eps * |offset + value|, so the orders left out
+    change no stored digit of a value whose parts are about |value|
+    (`offset` is what the caller adds `value` to afterwards).  Otherwise
+    keeps the order of smallest bound, and stops early once the
+    asymptotic series has turned (small w, very negative sigma)."""
     sigma = s.real
-    # t_k = B_{2k}/(2k)! * (s)_{2k-1} * w^(-s-2k+1), built by ratios:
+    rel = ctx.eps / 1000
+    # t_k = b_k * (s)_{2k-1} * w^(-s-2k+1), b_k = B_{2k}/(2k)!, built by ratios:
     # t_{k+1} = t_k * [b_{k+1}/b_k] * (s+2k-1)(s+2k) / w^2
-    b_cur = ctx.bernoulli(2) / 2  # B_2/2!
-    t_k = b_cur * s * w_pow_neg_s / w  # k = 1
+    b_1, ratios = _bernoulli_ratios(ctx, ctx.prec)
+    t_k = b_1 * s * w_pow_neg_s / w  # k = 1
     w2 = w * w
     best_value, best_bound = None, ctx.inf
-    k = 1
-    while k <= _MAX_CORRECTION_ORDER:
+    for k, ratio in enumerate(ratios, 1):
         value += t_k
         magsum += abs(t_k)
-        b_next = ctx.bernoulli(2 * k + 2) / ctx.factorial(2 * k + 2)
-        t_next = t_k * (b_next / b_cur) * (s + 2 * k - 1) * (s + 2 * k) / w2
+        t_next = t_k * ratio * (s + 2 * k - 1) * (s + 2 * k) / w2
         if sigma + 2 * k + 1 > 0:
             bound = abs(t_next) * abs(s + 2 * k + 1) / (sigma + 2 * k + 1)
+            if bound <= tol and bound <= rel * abs(offset + value):
+                return value, float(bound), magsum
             if bound < best_bound:
                 best_value, best_bound = value, bound
             elif bound > 4 * best_bound:
                 break  # asymptotic series turned; stop early
-        t_k, b_cur = t_next, b_next
-        k += 1
+        t_k = t_next
     if best_value is None:  # sigma so negative no valid bound existed
         raise PrecisionExhausted(f"no valid remainder bound for sigma={sigma}")
     return best_value, float(best_bound), magsum
+
+
+def _rounding_bound(ctx, eps, s, a, w, magsum):
+    """Rounding error of terms built from (n+a)^(-s), a <= n+a <= w, whose
+    magnitudes add up to `magsum`.
+
+    Besides the arithmetic around them (8 eps per unit of magsum), each
+    term carries the rounding of its phase and modulus, s*log(n+a): about
+    |s| * |log(n+a)| units of ctx.eps relative to the term, counted here
+    as 4 |s| max(|log a|, log w) units.  In the fp tier (ctx.eps = eps/4)
+    that exceeds 8 eps once |s| log w > 8, as at large |t|; in the mp tier
+    the 10 guard digits (ctx.eps < 1e-10 eps) keep it below 8 eps up to
+    |s| log w of about 10^10."""
+    log_span = max(abs(math.log(float(a))), math.log(float(w)))
+    phase = 4 * float(ctx.eps / eps) * float(abs(s)) * log_span
+    return eps * float(magsum) * max(8, phase)
 
 
 def _eval_hurwitz(s, x, prof):
     """(value, total_bound) for zeta(s, x), x > 0 real, s != 1; `s` and `x`
     are numbers of prof's tier, at the precision its public caller set."""
     ctx, eps, _ = _tier(prof)
-    value, bound, magsum = _em_core(ctx, ctx.mpc(s), x, prof.target_tolerance,
-                                    prof.working_digits)
-    return value, bound + 8 * eps * float(magsum)
+    return _em_core(ctx, eps, ctx.mpc(s), x, prof.target_tolerance, prof.working_digits)
 
 
 def hurwitz_zeta(s, x, prof: PrecisionProfile = EXPLORE) -> EvalResult:
@@ -297,7 +345,12 @@ def _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof):
     # an analytic function; expand sum_r f(r) w_r^(1-s) around s = 1.  The
     # rest of each class is the Euler-Maclaurin sum at one shared shift T,
     # doubled like _em_core's until the truncation meets the tolerance.
+    # Half the tolerance is shared among the classes' corrections, the
+    # other half is left to the pole expansion.
     tol = prof.target_tolerance
+    qs = ctx.mpf(q) ** (-s)
+    abs_qs = float(abs(qs))
+    share = tol / (2 * len(classes) * abs_qs)
 
     def at_shift(T):
         """(value, bound, truncation part of the bound) at shift T."""
@@ -310,15 +363,15 @@ def _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof):
             head, magsum = _em_head(ctx, s, shift, T)
             w = T + shift
             w_pow_neg_s = w ** (-s)
+            part = head + w_pow_neg_s / 2
             # summed apart from the larger head, the corrections keep their low digits
             corr, corr_bound, magsum = _em_corrections(
-                ctx, s, w, w_pow_neg_s, ctx.mpc(0), magsum + abs(w_pow_neg_s) / 2)
-            total += frc * (head + w_pow_neg_s / 2 + corr)
-            bound += fr_abs * (corr_bound + 8 * eps * float(magsum))
+                ctx, s, w, w_pow_neg_s, ctx.mpc(0), magsum + abs(w_pow_neg_s) / 2,
+                share / fr_abs, offset=part)
+            total += frc * (part + corr)
+            bound += fr_abs * (corr_bound + _rounding_bound(ctx, eps, s, shift, w, magsum))
             truncation += fr_abs * corr_bound
             logs.append((frc, fr_abs, ctx.log(w)))
-        qs = ctx.mpf(q) ** (-s)
-        abs_qs = float(abs(qs))
         # sum_r f(r) w_r^(1-s)/(s-1) = -sum_{m>=1} u^(m-1)/m! sum_r f(r) L_r^m
         # with u = 1-s, |u| < 1e-12; the orders past m add at most
         # |u|^m sum_r |f(r)| L_r^(m+1).  Orders are added until the whole

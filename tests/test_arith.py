@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -172,3 +173,10 @@ def test_factor_cache_skips_bad_lines(tmp_path, capsys, bad, n):
     assert f"skipped 1 malformed or unverified line(s) of factor cache {path}" in err
     if n is not None:
         assert factorize(n, cache) == factorize(n)  # factored afresh, not read back
+
+
+def test_coefficient_sum_computed_once():
+    f = PeriodicFunction(3, (Fraction(1, 3), -1, 2j))
+    assert f.coefficient_sum() == (Fraction(-2, 3), Fraction(2))
+    assert f.coefficient_sum() is f.coefficient_sum()
+    assert f == PeriodicFunction(3, (Fraction(1, 3), -1, 2j))

@@ -342,3 +342,56 @@ def test_write_csv_is_atomic(tmp_path, monkeypatch):
         cli._write_csv(target, ("a", "b"), [(3, 4)])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
     assert target.read_bytes() == b"a,b\r\n1,2\r\n"
+
+
+def _verify(report_path, tmp_path):
+    """(exit code, verify report) of `verify --fraction 1.0` on one report."""
+    out = tmp_path / "verify.json"
+    try:
+        code = main(["verify", str(report_path), "--fraction", "1.0", "--output", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    return code, json.loads(out.read_text())
+
+
+def test_verify_eval_checks_value_str_digits(tmp_path):
+    code, payload = run_cli(
+        ["eval", "--sigma", "2", "--t", "0.5", "--alpha", "2/7", "--f", "1/3,1,-2",
+         "--digits", "40"], tmp_path,
+    )
+    assert code == 0
+    code, vr = _verify(tmp_path / "report.json", tmp_path)
+    assert code == 0 and vr["results"]["ok"]
+    # change the 20th significant digit of the real part; value_re is untouched
+    re_str = payload["results"]["value_str"][0]
+    digits_seen = 0
+    for i, ch in enumerate(re_str):
+        if ch.isdigit() and (digits_seen or ch != "0"):
+            digits_seen += 1
+            if digits_seen == 20:
+                re_str = re_str[:i] + str((int(ch) + 5) % 10) + re_str[i + 1:]
+                break
+    payload["results"]["value_str"][0] = re_str
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, vr = _verify(bad, tmp_path)
+    assert code == 2
+    assert vr["results"]["mismatches"] == ["value_str"]
+
+
+@pytest.mark.parametrize("args", [
+    ["decompose", "--alpha", "1/2", "--f", "1,-1,0", "--q", "3"],
+    ["classify", "--alpha", "1/3", "--f", "1", "--q", "1"],
+    ["classify", "--minpoly", "1,2,-1", "--interval", "0.4,0.5", "--f", "1,2", "--q", "2"],
+])
+def test_verify_rebuilds_structure_reports(tmp_path, args):
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0
+    code, vr = _verify(tmp_path / "report.json", tmp_path)
+    assert code == 0 and vr["results"]["ok"]
+    payload["results"]["tampered"] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, vr = _verify(bad, tmp_path)
+    assert code == 2
+    assert vr["results"]["mismatches"] == ["results"]

@@ -322,3 +322,46 @@ def test_tiers_agree_within_float_bound(alpha, s, sigma):
         high, high_bound = call(PrecisionProfile(30, 1e-25))
         with mp.workdps(40):
             assert abs(mp.mpc(low) - mp.mpc(high)) <= low_bound + high_bound
+
+
+# sigma in [-3, 4], t <= 200, x in [0.02, 2], plus a point where the phase
+# rounding of (n+a)^(-s) at |t| ~ 187 exceeded the former 8 eps magsum
+_rng = random.Random(7)
+HONESTY_GRID = [(_rng.uniform(-3, 4), _rng.uniform(0, 200), _rng.uniform(0.02, 2))
+                for _ in range(60)]
+HONESTY_GRID.append((3.4623916867085445, 187.13827714302673, 0.10454476984765128))
+
+
+@pytest.mark.parametrize("prof", [EXPLORE, PrecisionProfile(30, 1e-25), CERTIFY])
+def test_error_bound_strictly_honest_on_grid(prof):
+    for sigma, t, x in HONESTY_GRID:
+        res = hurwitz_zeta(complex(sigma, t), x, prof)
+        with mp.workdps(70):
+            ref = mp.zeta(mp.mpc(sigma, t), mp.mpf(x))
+            assert abs(mp.mpc(res.value) - ref) <= res.abs_error_bound, (sigma, t, x)
+
+
+def test_bernoulli_table_built_once(monkeypatch):
+    calls = []
+
+    def counted(ctx, name):
+        inner = getattr(ctx, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(ctx, name, wrapper)
+
+    for ctx in (mpmath.fp, mp):
+        counted(ctx, "factorial")
+        counted(ctx, "bernoulli")
+    eta = PeriodicFunction(2, (1, -1))
+    profiles = (EXPLORE, PrecisionProfile(30, 1e-25), CERTIFY)
+    for prof in profiles:  # one warm-up evaluation per tier and precision
+        hurwitz_zeta(2.5, 0.3, prof)
+    calls.clear()
+    for prof in profiles:
+        hurwitz_zeta(complex(0.5, 14), 0.3, prof)
+        f_eval(complex(1.5, 3), PARITY_F, Fraction(2, 7), prof)
+        f_eval(1, eta, 1, prof)  # cancelled pole
+    assert calls == []
