@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from mpmath import mp
 
@@ -133,12 +133,73 @@ def _is_irreducible(coeffs):
 
 @lru_cache(maxsize=None)
 def _is_irreducible_cached(coeffs):
-    # build-time certificate; sympy's factorizer is the workhorse here
-    from sympy import Poly, Symbol
+    """Exact irreducibility over Q of an integer polynomial of degree 2 to 4.
 
-    x = Symbol("x")
-    expr = sum(int(c) * x ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
-    return Poly(expr, x).is_irreducible
+    Works on the monic integer Q(y) = lead^(d-1) P(y/lead), which factors
+    over Q exactly when P does, and by Gauss's lemma then into monic
+    integer factors.  A repeated factor shows as a zero discriminant.  A
+    linear factor is an integer root of Q; the only other split, 2+2 at
+    degree 4, is found through the integer roots of the resolvent cubic."""
+    d = len(coeffs) - 1
+    if d > 4:
+        raise ValueError(f"irreducibility is certified up to degree 4 only, got degree {d}")
+    lead = coeffs[0]
+    monic = tuple(c * lead ** (i - 1) if i else 1 for i, c in enumerate(coeffs))
+    if poly_discriminant(list(monic)) == 0 or _integer_roots(monic):
+        return False
+    return d < 4 or not _splits_into_quadratics(monic)
+
+
+def _integer_roots(monic):
+    """Integer roots of a squarefree monic integer polynomial, by bisecting
+    (-B, B] over the integers with Sturm counts (B the Cauchy bound)."""
+    chain = _sturm_chain(monic)
+    bound = 1 + max(abs(c) for c in monic[1:])
+    roots = []
+    todo = [(-bound, _sign_changes(chain, -bound), bound, _sign_changes(chain, bound))]
+    while todo:
+        lo, v_lo, hi, v_hi = todo.pop()
+        if v_lo == v_hi:  # no root in (lo, hi]
+            continue
+        if hi - lo == 1:
+            if poly_eval(monic, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = _sign_changes(chain, mid)
+        todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    return roots
+
+
+def _splits_into_quadratics(monic):
+    """Is y^4 + a y^3 + b y^2 + c y + d = (y^2 + p y + r)(y^2 + s y + u) over
+    the integers?  Then theta = r + u is an integer root of the resolvent
+    cubic (squarefree: its discriminant is the quartic's), r, u are the
+    roots of X^2 - theta X + d and p, s those of X^2 - a X + (b - theta).
+    Such a product has the coefficients a, b and d, so of the two pairings
+    the one whose y coefficient p u + s r is c is the factorization."""
+    _, a, b, c, d = monic
+    resolvent = (1, -b, a * c - 4 * d, -(a * a * d - 4 * b * d + c * c))
+    for theta in _integer_roots(resolvent):
+        ru = _integer_root_pair(theta, d)
+        ps = _integer_root_pair(a, b - theta)
+        if ru and ps:
+            (r, u), (p, s) = ru, ps
+            if c in (p * u + s * r, p * r + s * u):
+                return True
+    return False
+
+
+def _integer_root_pair(total, product):
+    """The integer roots of X^2 - total X + product, or None.  A square
+    discriminant root^2 = total^2 - 4 product has the parity of total."""
+    disc = total * total - 4 * product
+    if disc < 0:
+        return None
+    root = isqrt(disc)
+    if root * root != disc:
+        return None
+    return (total + root) // 2, (total - root) // 2
 
 
 @dataclass(frozen=True)
@@ -181,10 +242,10 @@ class AlgebraicAlpha:
     def lead(self):
         return self.minpoly[0]
 
-    @property
+    @cached_property
     def negated_poly(self):
         """Coefficients of minpoly(-x); its roots mod p^v are the residue
-        classes of n with p^v | (n+alpha)a."""
+        classes of n with p^v | (n+alpha)a.  Computed once per instance."""
         d = self.degree
         return tuple(c if (d - i) % 2 == 0 else -c for i, c in enumerate(self.minpoly))
 

@@ -59,7 +59,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from mpmath import fp, mp
 
@@ -319,7 +319,7 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
         s = ctx.mpc(to_ctx(ctx, s))
         a = to_ctx(ctx, alpha)
         q = f.period
-        coeffs = [to_ctx(ctx, f.exact(r)) for r in range(q)]
+        coeffs = _class_coefficients(f, ctx, ctx.prec)
         classes = [(fr, (r + a) / q) for r, fr in enumerate(coeffs) if fr != 0]
         res_re, res_im = f.coefficient_sum()
         has_pole = not (res_re == 0 and res_im == 0)
@@ -338,6 +338,14 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
             bound += float(abs(fr)) * b
         qs = ctx.mpf(q) ** (-s)
         return EvalResult(qs * total, float(abs(qs)) * bound)
+
+
+@lru_cache(maxsize=256)
+def _class_coefficients(f: PeriodicFunction, ctx, prec):
+    """(f(0), ..., f(q-1)) as ctx numbers, converted once per coefficient
+    function, context and precision `prec` (ctx's current one, the cache
+    key)."""
+    return tuple(to_ctx(ctx, f.exact(r)) for r in range(f.period))
 
 
 def _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import ghzeta
 from ghzeta.cli import main
 
 
@@ -128,6 +133,47 @@ def test_factor_ideals_and_verify(tmp_path):
     assert code2 == 0
     vr = json.loads((tmp_path / "verify.json").read_text())
     assert vr["results"]["ok"] and vr["results"]["checked"] >= 1
+
+
+@pytest.mark.parametrize("minpoly, interval", [
+    ("2,5,-3", "0.4,0.6"),       # (2x - 1)(x + 3)
+    ("1,2,-4,-6,3", "0.4,0.5"),  # (x^2 + 2x - 1)(x^2 - 3)
+])
+def test_factor_ideals_reducible_minpoly_is_usage_error(tmp_path, capsys, minpoly, interval):
+    args = ["factor-ideals", "--minpoly", minpoly, "--interval", interval, "--range", "0..5"]
+    code, payload = run_cli(args, tmp_path)
+    assert code == 1 and payload is None
+    assert capsys.readouterr().err == "error: minimal polynomial must be irreducible\n"
+
+
+@pytest.mark.parametrize("minpoly, interval", [
+    ("1,0,-10,0,1", "0.3,0.4"),  # sqrt(3) - sqrt(2)
+    ("3,0,1,-1", "0.5,0.6"),     # non-monic irreducible cubic
+])
+def test_factor_ideals_irreducible_minpoly(tmp_path, minpoly, interval):
+    args = ["factor-ideals", "--minpoly", minpoly, "--interval", interval, "--range", "0..5"]
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0
+    assert [row[0] for row in payload["results"]["rows"]] == list(range(6))
+
+
+def test_algebraic_alpha_imports_no_sympy(tmp_path):
+    # a fresh process, so no earlier test has imported sympy for it
+    code = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "import ghzeta.cli",
+        "from ghzeta.ideals import AlgebraicAlpha",
+        "AlgebraicAlpha((3, 0, 1, -1), (Fraction(1, 2), Fraction(3, 5)))",
+        "assert ghzeta.cli.main(['factor-ideals', '--minpoly', '1,2,-1', '--interval', '0.4,0.5',",
+        "                        '--range', '0..10', '--output', sys.argv[1]]) == 0",
+        "assert 'sympy' not in sys.modules, 'sympy was imported'",
+    ])
+    src = str(Path(ghzeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("bad", ["34,34", "34,x"])

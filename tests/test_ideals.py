@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ghzeta.arith import FactorizationOverflow
 from ghzeta.ideals import (
     AlgebraicAlpha,
+    _is_irreducible,
     PreconditionViolated,
     PrimeIdealKey,
     congruence_check,
@@ -35,6 +37,77 @@ def test_alpha_validation():
         AlgebraicAlpha((-1, -2, 1), (Fraction(2, 5), Fraction(1, 2)))
     with pytest.raises(ValueError):  # degree 1
         AlgebraicAlpha((2, -1), (Fraction(2, 5), Fraction(3, 5)))
+
+
+@pytest.mark.parametrize("coeffs, interval", [
+    ((2, 5, -3), (Fraction(2, 5), Fraction(3, 5))),        # (2x - 1)(x + 3)
+    ((1, 2, -4, -6, 3), (Fraction(2, 5), Fraction(1, 2))),  # (x^2 + 2x - 1)(x^2 - 3)
+])
+def test_reducible_minpoly_rejected(coeffs, interval):
+    # both isolate a root in their interval, so only irreducibility fails
+    assert count_real_roots(coeffs, *interval) == 1
+    with pytest.raises(ValueError, match="minimal polynomial must be irreducible"):
+        AlgebraicAlpha(coeffs, interval)
+
+
+@pytest.mark.parametrize("coeffs, interval", [
+    ((1, 0, -10, 0, 1), (Fraction(3, 10), Fraction(2, 5))),  # sqrt(3) - sqrt(2)
+    ((3, 0, 1, -1), (Fraction(1, 2), Fraction(3, 5))),       # non-monic cubic
+])
+def test_irreducible_minpoly_accepted(coeffs, interval):
+    alpha = AlgebraicAlpha(coeffs, interval)
+    root = alpha.value(17)
+    assert interval[0] < root < interval[1]
+    assert abs(sum(c * root ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))) < 1e-12
+
+
+@pytest.mark.parametrize("coeffs, irreducible", [
+    ((1, 0, -2), True),
+    ((9, 0, -4), False),              # (3x - 2)(3x + 2)
+    ((2, -1, 2, -1), False),          # (2x - 1)(x^2 + 1), non-monic cubic
+    ((2, 0, 0, -1), True),
+    ((1, 0, -10, 0, 1), True),        # reducible mod every prime
+    ((1, 0, 0, 0, 1), True),
+    ((1, 0, 0, 0, 4), False),         # (x^2 + 2x + 2)(x^2 - 2x + 2), no rational root
+    ((4, 0, 0, 0, 1), False),         # (2x^2 + 2x + 1)(2x^2 - 2x + 1), non-monic 2+2
+    ((1, 0, -4, 0, 4), False),        # (x^2 - 2)^2, zero discriminant
+    ((1, 2, -4, -6, 3), False),       # (x^2 + 2x - 1)(x^2 - 3)
+    ((6, -5, -2, 1, 0), False),       # x (6x^3 - 5x^2 - 2x + 1)
+])
+def test_irreducibility_certificate(coeffs, irreducible):
+    assert _is_irreducible(coeffs) is irreducible
+
+
+def test_irreducibility_certified_up_to_degree_4():
+    with pytest.raises(ValueError, match="certified up to degree 4"):
+        AlgebraicAlpha((2, 0, 0, 0, 0, -1), (Fraction(4, 5), Fraction(9, 10)), degree_cap=5)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _int_poly(degree):
+    coeff = st.integers(-30, 30)
+    return st.tuples(coeff.filter(bool), *[coeff] * degree)
+
+
+@given(st.integers(1, 2).flatmap(
+    lambda d: st.tuples(_int_poly(d), st.integers(1, 4 - d).flatmap(_int_poly))))
+def test_products_are_reducible(factors):
+    assert not _is_irreducible(_poly_mul(*factors))
+
+
+@given(st.integers(2, 4), st.sampled_from([2, 3, 5, 7]), st.data())
+def test_eisenstein_polynomials_are_irreducible(degree, p, data):
+    lead = data.draw(st.integers(-50, 50).filter(lambda c: c % p))
+    middle = [p * data.draw(st.integers(-20, 20)) for _ in range(degree - 1)]
+    const = p * data.draw(st.integers(-20, 20).filter(lambda c: c % p))
+    assert _is_irreducible([lead, *middle, const])
 
 
 def test_alpha_value_precision():
