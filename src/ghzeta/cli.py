@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import io
 import json
 import os
@@ -76,6 +77,35 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
+
+
+def _positive_int(text):
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _grid_dims(text):
+    """(A, B) of a grid written AxB or A×B, both positive integers."""
+    try:
+        nx, ny = (int(x) for x in text.lower().replace("×", "x").split("x"))
+    except ValueError:
+        nx = ny = 0
+    if nx < 1 or ny < 1:
+        raise argparse.ArgumentTypeError(f"grid must be AxB with positive integers, got {text!r}")
+    return nx, ny
+
+
+def _grid(text):
+    """argparse type for --grid: checked, but kept as written, because the
+    report records it."""
+    _grid_dims(text)
+    return text
 
 
 def _parse_values(text):
@@ -235,7 +265,7 @@ def _eval_results(f, alpha, sigma, t, digits):
 def cmd_eval(args, seed):
     f = _parse_f(args)
     alpha = _parse_alpha(args, allow_float=True)
-    digits = args.digits or 15
+    digits = args.digits
     config = {
         "sigma": args.sigma, "t": args.t, "alpha": _alpha_config(alpha),
         "f": _format_f(f), "q": f.period, "digits": digits,
@@ -383,7 +413,7 @@ def _sweep_one(job):
 
 
 def _run_sweep(alpha, n_list, theta, q, cache, threads):
-    if not threads or threads <= 1:
+    if threads == 1:
         return density_sweep(alpha, n_list, theta, q, cache)
     from concurrent.futures import ProcessPoolExecutor
 
@@ -445,8 +475,7 @@ def cmd_zeros(args, seed):
         "q": f.period, "rect": [s1, s2, t1, t2], "grid": args.grid,
     }
     if args.grid:
-        nx, ny = (int(x) for x in args.grid.lower().replace("×", "x").split("x"))
-        search = zero_search(F, rect, (nx, ny))
+        search = zero_search(F, rect, _grid_dims(args.grid))
         results = {
             "cells": [
                 {
@@ -577,7 +606,10 @@ def _recheck(payload, fraction, seed):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then reused: parsing
+    keeps no state in it, and building it costs milliseconds per call."""
     parser = _Parser(prog="ghzeta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -585,7 +617,7 @@ def build_parser():
         p.add_argument("--output", help="write the JSON report here (default stdout)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cache", help="factorization cache CSV (or HURWITZ_CACHE)")
-        p.add_argument("--q", type=int, default=None, help="coefficient period")
+        p.add_argument("--q", type=_positive_int, default=None, help="coefficient period")
         if alpha:
             p.add_argument("--alpha", help="rational a/b, 1, or a decimal (where allowed)")
             p.add_argument("--minpoly", help="algebraic alpha: c_d,...,c_0")
@@ -597,65 +629,59 @@ def build_parser():
     common(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--digits", type=int, default=None)
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--digits", type=_positive_int, default=15)
 
     p = sub.add_parser("decompose", help="L-function decomposition + P*L certificate")
     common(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("classify", help="zero/nonvanishing verdict for F")
     common(p)
     p.add_argument("--tmax", type=float, default=30.0, help="t depth of the P zero scan")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("factor-ideals", help="ideal factorizations over an n range")
     common(p, coeffs=False)
     p.add_argument("--range", required=True, help="N1..N2")
     p.add_argument("--csv", help="also write CSV rows here")
-    p.set_defaults(func=cmd_factor_ideals)
 
     p = sub.add_parser("density", help="private-prime window scans")
     common(p, coeffs=False)
     p.add_argument("--theta", required=True, help="window ratio, e.g. 1/1000000")
     p.add_argument("--N", required=True, help="comma-separated window starts")
     p.add_argument("--b", type=int, default=None, help="single residue class")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--csv", help="per-n outcome CSV")
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("construct-phi", help="run the phase construction")
     common(p)
     p.add_argument("--profile", default="desk", choices=["desk", "canonical"])
-    p.add_argument("--stages", type=int, default=1)
-    p.add_argument("--n1", type=int, default=None, help="override the profile N1")
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--stages", type=_positive_int, default=1)
+    p.add_argument("--n1", type=_positive_int, default=None, help="override the profile N1")
+    p.add_argument("--digits", type=_positive_int, default=None)
     p.add_argument("--phi-csv", help="write the phase log CSV here")
-    p.set_defaults(func=cmd_construct_phi)
 
     p = sub.add_parser("zeros", help="winding-number zero location")
     common(p)
     p.add_argument("--rect", required=True, help="sigma1,sigma2,t1,t2")
-    p.add_argument("--grid", help="cells as AxB, e.g. 4x16")
+    p.add_argument("--grid", type=_grid, help="cells as AxB, e.g. 4x16")
     p.add_argument("--csv", help="zero list CSV")
-    p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("verify", help="recompute a sample of a report's rows")
     p.add_argument("report")
     p.add_argument("--fraction", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write the verification report here")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     seed = getattr(args, "seed", 0)
+    # looked up per call, not bound into the cached parser, so a handler
+    # replaced after the first call is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        report = args.func(args, seed)
+        report = handler(args, seed)
     except DOMAIN_ERRORS as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2

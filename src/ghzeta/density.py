@@ -132,29 +132,30 @@ def private_prime_scan(alpha: AlgebraicAlpha, w: WindowSpec, *, all_classes=Fals
     and every choice is re-verified by direct residue-class enumeration.
     """
     alpha = alpha.with_q(w.q)
+    M, end = w.M, w.end  # each read of w.M multiplies Fractions
     members = w.members(all_classes=all_classes)
     if not members:
-        raise EmptyWindow(f"no n = {w.b} (mod {w.q}) in ({w.N}, {w.end}]")
+        raise EmptyWindow(f"no n = {w.b} (mod {w.q}) in ({w.N}, {end}]")
     if records is None:
-        records = window_records(alpha, w.N, w.M, cache)
+        records = window_records(alpha, w.N, M, cache)
     eligible = []
     smooth = 0
     for n in members:
         rec = records[n]
-        cands = private_key_candidates(rec, w.N, w.M, excluded_primes)
+        cands = private_key_candidates(rec, w.N, M, excluded_primes)
         if cands:
             cands.sort(key=lambda ke: (ke[1] != 1, -ke[0].p))
             key = cands[0][0]
-            if not _verify_private(key, n, w.end):
+            if not _verify_private(key, n, end):
                 raise AssertionError(
                     f"privacy shortcut contradicted for n={n}, p={key.p}"
                 )
             eligible.append((n, key))
-        if all(key.p**e < w.M for key, e in rec.admissible_part
+        if all(key.p**e < M for key, e in rec.admissible_part
                if key.p not in excluded_primes):
             smooth += 1
     count = len(eligible)
-    threshold = density_floor * w.M / w.q
+    threshold = density_floor * M / w.q
     return DensityReport(
         window=w,
         members=len(members),
@@ -163,9 +164,9 @@ def private_prime_scan(alpha: AlgebraicAlpha, w: WindowSpec, *, all_classes=Fals
         threshold=threshold,
         passed=count >= threshold,
         smooth_count=smooth,
-        rho=w.q * smooth / w.M,
+        rho=w.q * smooth / M,
         fraction=count / len(members),
-        fraction_Mq=count / (w.M / w.q),
+        fraction_Mq=count / (M / w.q),
     )
 
 
@@ -173,15 +174,16 @@ def smooth_set(alpha: AlgebraicAlpha, w: WindowSpec, *,
                cache: FactorCache | None = None, records=None):
     """Members whose admissible prime powers all stay below M."""
     alpha = alpha.with_q(w.q)
+    M = w.M
     members = w.members()
     if not members:
         raise EmptyWindow(f"no n = {w.b} (mod {w.q}) in ({w.N}, {w.end}]")
     if records is None:
-        records = window_records(alpha, w.N, w.M, cache)
+        records = window_records(alpha, w.N, M, cache)
     out = []
     for n in members:
         rec = records[n]
-        if all(key.p**e < w.M for key, e in rec.admissible_part):
+        if all(key.p**e < M for key, e in rec.admissible_part):
             out.append(n)
     return out
 

@@ -127,6 +127,14 @@ def poly_discriminant(coeffs):
     return sign * res // coeffs[0]
 
 
+@lru_cache(maxsize=None)
+def _isolates_one_root(coeffs, lo, hi):
+    """Whether (lo, hi] holds exactly one real root of the integer
+    polynomial `coeffs` (a tuple); exact, and cached like the
+    irreducibility certificate, since every `with_q` re-checks it."""
+    return count_real_roots(coeffs, lo, hi) == 1
+
+
 def _is_irreducible(coeffs):
     return _is_irreducible_cached(tuple(int(c) for c in coeffs))
 
@@ -227,7 +235,7 @@ class AlgebraicAlpha:
             raise ValueError("minimal polynomial must have content 1")
         if not (0 <= lo < hi <= 1):
             raise ValueError("isolating interval must lie inside (0, 1)")
-        if count_real_roots(coeffs, lo, hi) != 1:
+        if not _isolates_one_root(coeffs, lo, hi):
             raise ValueError("interval must isolate exactly one real root")
         if self.q_context < 1:
             raise ValueError("q_context must be positive")

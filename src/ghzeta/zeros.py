@@ -148,6 +148,8 @@ def zero_search(series, region: Rectangle, grid=(4, 8)) -> ZeroSearchResult:
     if region.sigma_min <= 1:
         raise ValueError("zero searches live strictly in sigma > 1")
     nx, ny = grid
+    if nx < 1 or ny < 1:
+        raise ValueError(f"grid dimensions must be positive, got {nx}x{ny}")
     dx = (region.sigma_max - region.sigma_min) / nx
     dy = (region.t_max - region.t_min) / ny
     cells = []

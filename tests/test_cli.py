@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import ANY
 
 import mpmath
 import pytest
@@ -82,6 +83,108 @@ def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--sigma", "2", "--bogus-flag", "1"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("grid", ["0x4", "3x-1", "4", "2x3x4", "ax4"])
+def test_zeros_bad_grid_is_usage_error(tmp_path, capsys, grid):
+    # 1.3,1.9,0,30 holds the zero at log2(3); "3x-1" used to report none
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "--alpha", "1", "--f", "1,-2", "--rect", "1.3,1.9,0,30",
+              f"--grid={grid}", "--output", str(tmp_path / "report.json")])
+    assert exc.value.code == 1
+    assert "grid must be AxB with positive integers" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+ALPHA_FLAGS = ["--minpoly", "1,2,-1", "--interval", "0.4,0.5"]
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--sigma", "2", "--alpha", "1", "--f", "1", "--q", "0"],
+    ["density", *ALPHA_FLAGS, "--theta", "1/10", "--N", "100", "--q", "0"],
+    ["construct-phi", *ALPHA_FLAGS, "--q", "0"],
+    ["eval", "--sigma", "2", "--alpha", "1", "--f", "1", "--digits", "0"],
+    ["eval", "--sigma", "2", "--alpha", "1", "--f", "1", "--digits", "-5"],
+    ["construct-phi", *ALPHA_FLAGS, "--digits", "0"],
+    ["construct-phi", *ALPHA_FLAGS, "--n1", "0"],
+    ["construct-phi", *ALPHA_FLAGS, "--stages", "0"],
+    ["density", *ALPHA_FLAGS, "--theta", "1/10", "--N", "100", "--threads", "0"],
+])
+def test_non_positive_count_is_usage_error(tmp_path, capsys, args):
+    # zero used to fall back to the default silently (q = 1, 50 digits, the profile's N1)
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--output", str(tmp_path / "report.json")])
+    assert exc.value.code == 1
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    import ghzeta.cli as cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *a, **kw):
+        built.append(kw.get("prog"))
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    argvs = [
+        ["eval", "--sigma", "2", "--alpha", "1", "--f", "1"],
+        ["classify", "--alpha", "1/3", "--f", "1"],
+        ["decompose", "--alpha", "1/3", "--f", "1"],
+        ["eval", "--sigma", "3", "--alpha", "1/2", "--f", "1,-1"],
+    ]
+    for i, argv in enumerate(argvs):
+        code, _ = run_cli(argv, tmp_path, f"{i}.json")
+        assert code == 0
+        if i == 0:
+            after_first = len(built)
+    assert built.count("ghzeta") == 1
+    assert len(built) == after_first
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_defaults_do_not_leak_between_calls(tmp_path):
+    base = ["eval", "--sigma", "2", "--alpha", "1", "--f", "1"]
+    assert run_cli(base + ["--digits", "40"], tmp_path, "a.json")[1]["config"]["digits"] == 40
+    assert run_cli(base, tmp_path, "b.json")[1]["config"]["digits"] == 15
+    base = ["density", *ALPHA_FLAGS, "--theta", "1/10", "--N", "100"]
+    code, payload = run_cli(base + ["--q", "2", "--b", "1"], tmp_path, "c.json")
+    assert code == 0 and (payload["config"]["q"], payload["config"]["b"]) == (2, 1)
+    code, payload = run_cli(base, tmp_path, "d.json")
+    assert code == 0 and (payload["config"]["q"], payload["config"]["b"]) == (1, None)
+
+
+def test_errors_leave_the_next_call_working(tmp_path):
+    ok = ["classify", "--alpha", "1/3", "--f", "1"]
+    code, first = run_cli(ok, tmp_path, "first.json")
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:  # usage error
+        main(["eval", "--sigma", "2", "--alpha", "1", "--f", "1", "--digits", "0"])
+    assert exc.value.code == 1
+    assert run_cli(ok, tmp_path, "second.json") == (0, {**first, "timestamp": ANY})
+    assert run_cli(["eval", "--sigma", "1", "--alpha", "1", "--f", "1"], tmp_path)[0] == 2  # pole
+    assert run_cli(ok, tmp_path, "third.json") == (0, {**first, "timestamp": ANY})
+
+
+def test_handler_patched_after_first_call_runs(tmp_path, monkeypatch):
+    import ghzeta.cli as cli
+
+    argv = ["classify", "--alpha", "1/3", "--f", "1"]
+    assert run_cli(argv, tmp_path)[0] == 0
+    seen = []
+
+    def patched(args, seed):
+        seen.append((args.command, args.alpha, seed))
+        return cli.make_report("classify", {}, {"patched": True}, seed)
+
+    monkeypatch.setattr(cli, "cmd_classify", patched)
+    code, payload = run_cli(argv + ["--seed", "7"], tmp_path)
+    assert code == 0 and payload["results"] == {"patched": True}
+    assert seen == [("classify", "1/3", 7)]
 
 
 def test_classify_examples(tmp_path):

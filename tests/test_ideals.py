@@ -39,6 +39,28 @@ def test_alpha_validation():
         AlgebraicAlpha((2, -1), (Fraction(2, 5), Fraction(3, 5)))
 
 
+def test_isolating_interval_checked_once_per_key(monkeypatch):
+    import ghzeta.ideals as ideals
+
+    calls = []
+
+    def counting(coeffs, lo, hi):
+        calls.append((coeffs, lo, hi))
+        return count_real_roots(coeffs, lo, hi)
+
+    monkeypatch.setattr(ideals, "count_real_roots", counting)
+    ideals._isolates_one_root.cache_clear()
+    alpha = AlgebraicAlpha((1, 2, -1), (Fraction(2, 5), Fraction(1, 2)))
+    alpha.with_q(2).with_q(3)
+    AlgebraicAlpha((1, 2, -1), (Fraction(2, 5), Fraction(1, 2)), q_context=5)
+    assert calls == [((1, 2, -1), Fraction(2, 5), Fraction(1, 2))]
+    for _ in range(2):  # a cached refusal still raises
+        with pytest.raises(ValueError, match="interval must isolate exactly one real root"):
+            AlgebraicAlpha((1, 2, -1), (Fraction(1, 10), Fraction(2, 10)))
+    assert len(calls) == 2
+    ideals._isolates_one_root.cache_clear()
+
+
 @pytest.mark.parametrize("coeffs, interval", [
     ((2, 5, -3), (Fraction(2, 5), Fraction(3, 5))),        # (2x - 1)(x + 3)
     ((1, 2, -4, -6, 3), (Fraction(2, 5), Fraction(1, 2))),  # (x^2 + 2x - 1)(x^2 - 3)

@@ -111,6 +111,13 @@ def test_zero_search_requires_half_plane():
         zero_search(FIX, Rectangle(0.9, 2.0, 0, 5), (2, 2))
 
 
+@pytest.mark.parametrize("grid", [(0, 4), (3, -1), (0, 0)])
+def test_zero_search_rejects_non_positive_grid(grid):
+    # (3, -1) used to give no cells at all, hiding the zero at log2(3)
+    with pytest.raises(ValueError, match="grid dimensions must be positive"):
+        zero_search(FIX, Rectangle(1.3, 1.9, 0, 30), grid)
+
+
 def test_conjugate_symmetry():
     lower = zero_search(FIX, Rectangle(1.3, 1.9, -30, 0), (4, 16))
     upper = zero_search(FIX, Rectangle(1.3, 1.9, 0, 30), (4, 16))
