@@ -149,11 +149,15 @@ def factorize(n: int, cache: "FactorCache | None" = None) -> Factorization:
     out = {}
     for p in SMALL_PRIMES:
         if p * p > m:
+            # no prime below p divides m, so m is 1 or a prime
+            if m > 1:
+                out[m] = 1
             break
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
-    _factor_into(m, out)
+    else:
+        _factor_into(m, out)
     result = Factorization(n, tuple(sorted(out.items())))
     if cache is not None:
         cache.put(result)

@@ -16,6 +16,7 @@ import datetime
 import functools
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -88,6 +89,38 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+def _finite_float(text):
+    """argparse type for real values: a finite float, so inf and nan are
+    usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _rect(text):
+    """argparse type for --rect: (sigma1, sigma2, t1, t2), four finite numbers."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"rect must be sigma1,sigma2,t1,t2, got {text!r}")
+    return tuple(_finite_float(x) for x in parts)
+
+
+def _n_range(text):
+    """argparse type for --range: (A, B) from A..B, integers with 0 <= A <= B."""
+    try:
+        lo, hi = (int(x) for x in text.split(".."))
+    except ValueError:
+        lo, hi = 1, 0
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(
+            f"range must be A..B with integers 0 <= A <= B, got {text!r}")
+    return lo, hi
 
 
 def _grid_dims(text):
@@ -346,7 +379,7 @@ def cmd_factor_ideals(args, seed):
     alpha = _parse_alpha(args)
     if not isinstance(alpha, AlgebraicAlpha):
         raise UnsupportedAlpha("factor-ideals needs --minpoly/--interval")
-    lo, hi = (int(x) for x in args.range.split(".."))
+    lo, hi = args.range
     cache = _cache_from(args)
     rows = []
     for n in range(lo, hi + 1):
@@ -467,7 +500,7 @@ def _zero_evaluator(f, alpha):
 def cmd_zeros(args, seed):
     f = _parse_f(args)
     alpha = _parse_alpha(args, allow_float=True)
-    s1, s2, t1, t2 = (float(x) for x in args.rect.split(","))
+    s1, s2, t1, t2 = args.rect
     rect = Rectangle(s1, s2, t1, t2)
     F = _zero_evaluator(f, alpha)
     config = {
@@ -627,8 +660,8 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate F(sigma+it, f, alpha)")
     common(p)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--digits", type=_positive_int, default=15)
 
     p = sub.add_parser("decompose", help="L-function decomposition + P*L certificate")
@@ -636,11 +669,11 @@ def build_parser():
 
     p = sub.add_parser("classify", help="zero/nonvanishing verdict for F")
     common(p)
-    p.add_argument("--tmax", type=float, default=30.0, help="t depth of the P zero scan")
+    p.add_argument("--tmax", type=_finite_float, default=30.0, help="t depth of the P zero scan")
 
     p = sub.add_parser("factor-ideals", help="ideal factorizations over an n range")
     common(p, coeffs=False)
-    p.add_argument("--range", required=True, help="N1..N2")
+    p.add_argument("--range", type=_n_range, required=True, help="N1..N2")
     p.add_argument("--csv", help="also write CSV rows here")
 
     p = sub.add_parser("density", help="private-prime window scans")
@@ -661,13 +694,13 @@ def build_parser():
 
     p = sub.add_parser("zeros", help="winding-number zero location")
     common(p)
-    p.add_argument("--rect", required=True, help="sigma1,sigma2,t1,t2")
+    p.add_argument("--rect", type=_rect, required=True, help="sigma1,sigma2,t1,t2")
     p.add_argument("--grid", type=_grid, help="cells as AxB, e.g. 4x16")
     p.add_argument("--csv", help="zero list CSV")
 
     p = sub.add_parser("verify", help="recompute a sample of a report's rows")
     p.add_argument("report")
-    p.add_argument("--fraction", type=float, default=0.01)
+    p.add_argument("--fraction", type=_finite_float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write the verification report here")
 

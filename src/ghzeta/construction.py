@@ -107,17 +107,19 @@ class ConstructionProfile:
 
 
 def bohr_solve(radii, target, ctx=fp):
-    """Phases theta_i with sum_i r_i e^(i theta_i) = target, exactly at
-    working precision.
+    """Unit complex numbers u_i, one per radius in input order, with
+    sum_i r_i u_i = target exactly at working precision.
 
     The reachable set of a linkage with positive link lengths is the
     annulus max(0, 2 max r - sum r) <= |z| <= sum r.  Links are placed
     longest first: each link turns just far enough that the residual
     target stays reachable for the remaining links, and the final two
-    links close the triangle exactly.  One sort, then a linear sweep: the
-    remaining links are a suffix of the sorted radii, so their longest is
-    the next radius and their sum is read from suffix sums built once.
-    O(k log k), deterministic.
+    links close the triangle exactly.  A link turns the direction w/|w| of
+    the residual w by the angle whose cosine c the law of cosines gives,
+    u = (w/|w|)(c + i sqrt(1 - c^2)), so no angle is ever formed.  One
+    sort, then a linear sweep: the remaining links are a suffix of the
+    sorted radii, so their longest is the next radius and their sum is
+    read from suffix sums built once.  O(k log k), deterministic.
     """
     if not radii:
         raise ValueError("need at least one radius")
@@ -148,11 +150,17 @@ def bohr_solve(radii, target, ctx=fp):
     elif abs(z) == 0 and inner > 0:
         raise Unreachable("zero target with a positive inner radius")
 
-    phases = [None] * k
+    units = [None] * k
 
     def unit(w):
         a = abs(w)
         return w / a if a != 0 else ctx.mpc(1)
+
+    def link(w, aw, r, rho):
+        # the unit u with |w - r u| = rho, turned counterclockwise from w
+        c = (aw * aw + r * r - rho * rho) / (2 * aw * r)
+        c = max(-1, min(1, c))
+        return (w / aw) * ctx.mpc(c, ctx.sqrt(1 - c * c))
 
     w = z
     for i in range(k - 2):
@@ -163,21 +171,15 @@ def bohr_solve(radii, target, ctx=fp):
         lo = max(inner_rest, abs(aw - r))
         hi = min(R, aw + r)
         rho = lo if lo <= hi else (lo + hi) / 2  # lo <= hi always holds here
-        if aw == 0:
-            u = ctx.mpc(1)
-        else:
-            cos_phi = (aw * aw + r * r - rho * rho) / (2 * aw * r)
-            cos_phi = max(-1, min(1, cos_phi))
-            phi = ctx.acos(cos_phi)
-            u = unit(w) * ctx.expjpi(phi / ctx.pi)
-        phases[i] = u
+        u = ctx.mpc(1) if aw == 0 else link(w, aw, r, rho)
+        units[i] = u
         w = w - r * u
 
     if k == 1:
         r = sorted_r[0]
         if abs(abs(z) - r) > tol:
             raise Unreachable("single link cannot reach the target")
-        phases[0] = unit(z)
+        units[0] = unit(z)
     else:
         ra, rb = sorted_r[k - 2], sorted_r[k - 1]
         aw = abs(w)
@@ -187,17 +189,13 @@ def bohr_solve(radii, target, ctx=fp):
                 raise Unreachable("zero residual with unequal closing links")
             ua, ub = ctx.mpc(1), ctx.mpc(-1)
         else:
-            cos_a = (aw * aw + ra * ra - rb * rb) / (2 * aw * ra)
-            cos_a = max(-1, min(1, cos_a))
-            ang = ctx.acos(cos_a)
-            ua = unit(w) * ctx.expjpi(ang / ctx.pi)
-            rem = w - ra * ua
-            ub = unit(rem)
-        phases[k - 2], phases[k - 1] = ua, ub
+            ua = link(w, aw, ra, rb)
+            ub = unit(w - ra * ua)
+        units[k - 2], units[k - 1] = ua, ub
 
     out = [None] * k
     for slot, i in enumerate(order):
-        out[i] = ctx.phase(phases[slot])
+        out[i] = units[slot]
     return out
 
 
@@ -214,16 +212,16 @@ class PhiAssignment:
     second write.
     """
 
-    def __init__(self, digits=50):
+    def __init__(self):
         self._table = {}
-        self._digits = digits
 
     def set_phase(self, key, phase):
+        """Record `phase` for `key`, checked unimodular at the caller's
+        working precision."""
         if key in self._table:
             raise RuntimeError(f"phase for {key} already assigned (write-once)")
-        with mp.workdps(self._digits + 10):
-            if abs(abs(mp.mpc(phase)) - 1) > 1e-14:
-                raise ValueError(f"phase for {key} is not unimodular")
+        if abs(abs(phase) - 1) > 1e-14:
+            raise ValueError(f"phase for {key} is not unimodular")
         self._table[key] = phase
 
     def ensure_one(self, key):
@@ -538,12 +536,14 @@ def _aim_private(state, fb, eligible, window_records, members_a, target, weight)
         radii.append(fb_abs * weight[n])
         fixed_units.append(fb_unit * u)
         exps.append(e_key)
-    angles = bohr_solve(radii, target, ctx=mp)
-    for n, ang, unit_fix, e_key in zip(members_a, angles, fixed_units, exps):
-        # term must equal r * e^(i ang); strip the fixed unit, take the
-        # e-th root for higher prime powers (any branch works, phases are free)
-        want = ang - mp.arg(unit_fix)
-        phase = mp.expjpi(want / e_key / mp.pi)
+    units = bohr_solve(radii, target, ctx=mp)
+    for n, u, unit_fix, e_key in zip(members_a, units, fixed_units, exps):
+        # the term r * unit_fix * phase^e must equal r * u: strip the fixed
+        # unit, and for a higher prime power take an e-th root (any branch
+        # works, the private phase is free)
+        phase = u * mp.conj(unit_fix)
+        if e_key > 1:
+            phase = mp.expj(mp.arg(phase) / e_key)
         state.phi.set_phase(eligible[n], phase)
 
 
@@ -606,7 +606,7 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
     with mp.workdps(digits + 10):
         sums = _class_sums(f, alpha_val, sigma, profile.n1, prec)
 
-    phi = PhiAssignment(digits)
+    phi = PhiAssignment()
     state = StageState(1, profile.n1, sigma, alpha_val, sums, phi)
     stage_logs = []
     for _ in range(stages):

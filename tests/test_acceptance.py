@@ -308,11 +308,11 @@ def build_criterion6():
         ang = rng.uniform(0, 2 * math.pi)
         z = mag * cmath.exp(1j * ang)
         try:
-            phases = bohr_solve(radii, z)
+            units = bohr_solve(radii, z)
         except Unreachable:
             feasible_ok = False
             continue
-        resid = abs(sum(r * cmath.exp(1j * p) for r, p in zip(radii, phases)) - z)
+        resid = abs(sum(r * u for r, u in zip(radii, units)) - z)
         worst_resid = max(worst_resid, resid / total)
     rejected = 0
     for _ in range(200):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ghzeta import arith
 from ghzeta.arith import (
     FactorCache,
     Factorization,
@@ -57,6 +58,22 @@ def test_factorize_recomposition(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+
+
+@pytest.mark.parametrize("n", [4999**2, 5003**2, 5003 * 5009, 25000009, 2 * 4999**2])
+def test_factorize_past_the_small_primes(n):
+    # trial division runs out of primes below 5000 on each of these
+    assert factorize(n).factors == trial_division(n)
+
+
+def test_factorize_trusts_trial_division(monkeypatch):
+    # once p^2 exceeds the cofactor, the cofactor is prime: no primality test
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert factorize(2 * 4993).factors == ((2, 1), (4993, 1))
+    assert factorize(3**4 * 7 * 1009).factors == ((3, 4), (7, 1), (1009, 1))
+    assert factorize(4999**2).factors == ((4999, 2),)
+    assert calls == []
 
 
 def test_factorize_large_semiprime():

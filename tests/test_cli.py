@@ -119,6 +119,49 @@ def test_non_positive_count_is_usage_error(tmp_path, capsys, args):
     assert not (tmp_path / "report.json").exists()
 
 
+ZEROS_FLAGS = ["zeros", "--alpha", "1", "--f", "1,-2"]
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--sigma", "inf", "--alpha", "1", "--f", "1"],
+    ["eval", "--sigma", "nan", "--alpha", "1", "--f", "1"],
+    ["eval", "--sigma", "2", "--t", "inf", "--alpha", "1", "--f", "1"],
+    ["classify", "--alpha", "1", "--f", "1,-2", "--tmax", "nan"],
+    [*ZEROS_FLAGS, "--rect", "nan,1.9,0,30"],
+    [*ZEROS_FLAGS, "--rect", "1.3,inf,0,30"],
+    [*ZEROS_FLAGS, "--rect", "1.3,1.9,-inf,30"],
+    [*ZEROS_FLAGS, "--rect", "1.3,1.9,0,inf"],
+    ["verify", "report-to-check.json", "--fraction", "inf"],
+])
+def test_non_finite_number_is_usage_error(tmp_path, capsys, args):
+    # these used to end in an OverflowError or ZeroDivisionError traceback,
+    # PrecisionExhausted (exit 2), or "rectangle must have positive area"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--output", str(tmp_path / "report.json")])
+    assert exc.value.code == 1
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("rect", ["1.3,1.9,0", "1.3,1.9,0,30,40"])
+def test_zeros_rect_needs_four_numbers(tmp_path, capsys, rect):
+    with pytest.raises(SystemExit) as exc:
+        main([*ZEROS_FLAGS, "--rect", rect, "--output", str(tmp_path / "report.json")])
+    assert exc.value.code == 1
+    assert "rect must be sigma1,sigma2,t1,t2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", ["10..0", "5", "a..b", "-1..3", "0..5..9"])
+def test_factor_ideals_bad_range_is_usage_error(tmp_path, capsys, span):
+    # "10..0" used to exit 0 with no rows, "5" with "not enough values to unpack"
+    with pytest.raises(SystemExit) as exc:
+        main(["factor-ideals", *ALPHA_FLAGS, f"--range={span}",
+              "--output", str(tmp_path / "report.json")])
+    assert exc.value.code == 1
+    assert "range must be A..B with integers 0 <= A <= B" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_parser_built_once_per_process(tmp_path, monkeypatch):
     import ghzeta.cli as cli
 

@@ -13,37 +13,38 @@ from ghzeta.construction import (
     StageState,
     ThinClass,
     Unreachable,
+    _aim_private,
     bohr_solve,
     run_construction,
     select_sigma,
     stage_advance,
 )
-from ghzeta.ideals import AlgebraicAlpha, PrimeIdealKey, fixtures
+from ghzeta.ideals import AlgebraicAlpha, IdealFactorizationRecord, PrimeIdealKey, fixtures
 
 ALPHA = fixtures()
 ONE = PeriodicFunction.constant_one()
 
 
-def linkage_sum(radii, phases):
-    return sum(r * cmath.exp(1j * p) for r, p in zip(radii, phases))
+def linkage_sum(radii, units):
+    return sum(r * u for r, u in zip(radii, units))
 
 
 def test_bohr_boundary_alignment():
-    phases = bohr_solve([1, 1, 1, 1, 1], 5 + 0j)
-    assert all(abs(p) < 1e-12 for p in phases)
+    units = bohr_solve([1, 1, 1, 1, 1], 5 + 0j)
+    assert all(abs(u - 1) < 1e-12 for u in units)
 
 
 def test_bohr_symmetric_zero():
     radii = [1, 1, 1, 1, 1]
-    phases = bohr_solve(radii, 0j)
-    assert abs(linkage_sum(radii, phases)) < 1e-12
+    units = bohr_solve(radii, 0j)
+    assert abs(linkage_sum(radii, units)) < 1e-12
 
 
 def test_bohr_inner_boundary():
-    phases = bohr_solve([3, 1, 1], 1 + 0j)
-    assert phases[0] == pytest.approx(0, abs=1e-12)
-    assert abs(abs(phases[1]) - math.pi) < 1e-12
-    assert abs(abs(phases[2]) - math.pi) < 1e-12
+    units = bohr_solve([3, 1, 1], 1 + 0j)
+    assert abs(units[0] - 1) < 1e-12
+    assert abs(units[1] + 1) < 1e-12
+    assert abs(units[2] + 1) < 1e-12
 
 
 def test_bohr_random_feasible():
@@ -56,8 +57,8 @@ def test_bohr_random_feasible():
         mag = rng.uniform(inner, total)
         ang = rng.uniform(0, 2 * math.pi)
         z = mag * cmath.exp(1j * ang)
-        phases = bohr_solve(radii, z)
-        assert abs(linkage_sum(radii, phases) - z) < 1e-10 * total
+        units = bohr_solve(radii, z)
+        assert abs(linkage_sum(radii, units) - z) < 1e-10 * total
 
 
 def test_bohr_infeasible_rejected():
@@ -75,33 +76,50 @@ def test_bohr_mp_context():
     with mp.workdps(60):
         radii = [mp.mpf(1), mp.mpf("1.5"), mp.mpf("0.25"), mp.mpf(2)]
         z = mp.mpc("1.25", "-0.5")
-        phases = bohr_solve(radii, z, ctx=mp)
-        resid = abs(sum(r * mp.expjpi(p / mp.pi) for r, p in zip(radii, phases)) - z)
+        units = bohr_solve(radii, z, ctx=mp)
+        resid = abs(sum(r * u for r, u in zip(radii, units)) - z)
         assert resid < mp.mpf(10) ** -50
 
 
-@pytest.mark.parametrize("where", ["inside", "outer", "zero", "inner"])
+DESK_WINDOW_CASES = ["inside", "outer", "zero", "inner"]
+
+
+def desk_window_linkage(where):
+    """(radii, target, total) at the current mp precision: 250 links
+    (n+alpha)^-sigma over a desk window, as many as a construct stage
+    solves.  Their inner radius is 0, so a dominant first link is put in
+    to give the "inner" case a positive inner boundary."""
+    a = ALPHA.value(mp.dps)
+    sigma = 1 + mp.mpf(1) / 2**7
+    radii = [(n + a) ** (-sigma) for n in range(4000, 4250)]
+    if where == "inner":
+        radii[0] = mp.mpf(5) / 4 * mp.fsum(radii[1:])
+    total = mp.fsum(radii)
+    inner = 2 * radii[0] - total if where == "inner" else 0
+    mag = {"inside": total / 3, "outer": total, "zero": 0, "inner": inner}[where]
+    return radii, mag * mp.expjpi(mp.mpf(2) / 7), total
+
+
+@pytest.mark.parametrize("where", DESK_WINDOW_CASES)
 @pytest.mark.parametrize("ctx", [mp, fp], ids=["mp", "fp"])
 def test_bohr_desk_window_links(ctx, where):
-    # 250 links (n+alpha)^-sigma over a desk window, as many as a construct
-    # stage solves; their inner radius is 0, so a dominant first link is
-    # put in to give the "inner" case a positive inner boundary
     with mp.workdps(60):
-        a = ALPHA.value(60)
-        sigma = 1 + mp.mpf(1) / 2**7
-        radii = [(n + a) ** (-sigma) for n in range(4000, 4250)]
-        if where == "inner":
-            radii[0] = mp.mpf(5) / 4 * mp.fsum(radii[1:])
-        total = mp.fsum(radii)
-        inner = 2 * radii[0] - total if where == "inner" else 0
-        mag = {"inside": total / 3, "outer": total, "zero": 0, "inner": inner}[where]
-        z = mag * mp.expjpi(mp.mpf(2) / 7)
+        radii, z, total = desk_window_linkage(where)
         if ctx is fp:
             radii, z, total = [float(r) for r in radii], complex(z), float(total)
-        phases = bohr_solve(radii, z, ctx=ctx)
-        reached = mp.fsum(r * mp.expjpi(p / mp.pi) for r, p in zip(radii, phases))
+        units = bohr_solve(radii, z, ctx=ctx)
+        reached = mp.fsum(r * mp.mpc(u) for r, u in zip(radii, units))
         resid = abs(reached - z)
     assert resid < (mp.mpf(10) ** -50 if ctx is mp else 1e-12) * total
+
+
+@pytest.mark.parametrize("where", DESK_WINDOW_CASES)
+def test_bohr_units_unimodular(where):
+    with mp.workdps(60):
+        radii, z, _ = desk_window_linkage(where)
+        units = bohr_solve(radii, z, ctx=mp)
+        assert len(units) == len(radii)
+        assert max(abs(abs(u) - 1) for u in units) < mp.mpf(10) ** -50
 
 
 def test_profile_consistency_guard():
@@ -125,6 +143,40 @@ def test_phi_assignment_write_once():
     assert phi.get(PrimeIdealKey(71, 13)) == 1  # implicit default
     with pytest.raises(ValueError):
         phi.set_phase(PrimeIdealKey(17, 2), 1.5)  # not unimodular
+    with pytest.raises(ValueError):
+        phi.set_phase(PrimeIdealKey(17, 3), 1 + 1e-10)
+    with mp.workdps(60):
+        with pytest.raises(ValueError):
+            phi.set_phase(PrimeIdealKey(17, 4), mp.mpc(1 + mp.mpf(10) ** -10, 0))
+        phi.set_phase(PrimeIdealKey(17, 5), mp.expjpi(mp.mpf(1) / 3))
+        with pytest.raises(RuntimeError):
+            phi.set_phase(PrimeIdealKey(17, 5), mp.expjpi(mp.mpf(1) / 3))
+
+
+def test_aim_private_higher_prime_power():
+    # private keys at exponents 1, 2 and 3, one member also carrying an
+    # already-assigned phase: the placed class terms must sum to the target
+    P = [PrimeIdealKey(p, 1) for p in (101, 103, 107, 109)]
+    other = PrimeIdealKey(113, 5)
+    members = [1, 2, 3, 4]
+    records = {
+        1: IdealFactorizationRecord(1, ((P[0], 2),), 1),
+        2: IdealFactorizationRecord(2, ((P[1], 1), (other, 1)), 1),
+        3: IdealFactorizationRecord(3, ((P[2], 3),), 1),
+        4: IdealFactorizationRecord(4, ((P[3], 2), (other, 2)), 1),
+    }
+    eligible = dict(zip(members, P))
+    with mp.workdps(60):
+        phi = PhiAssignment()
+        phi.set_phase(other, mp.expj(mp.mpf("0.7")))
+        state = StageState(1, 0, None, None, [], phi)
+        fb = mp.mpc("1.2", "-1.6")
+        weight = {n: mp.mpf(1) / (n + 2) for n in members}
+        target = mp.mpc("0.3", "0.45")
+        _aim_private(state, fb, eligible, records, members, target, weight)
+        placed = mp.fsum(fb * phi.phase_of_record(records[n]) * weight[n] for n in members)
+        assert abs(placed - target) < mp.mpf(10) ** -50
+        assert all(abs(abs(phi.get(k)) - 1) < mp.mpf(10) ** -50 for k in P)
 
 
 def test_select_sigma_tiny_example():
@@ -148,7 +200,7 @@ def test_stage_zero_drift_cancels_exactly():
     profile = ConstructionProfile(theta=Fraction(5, 102), n1=102, digits=50)
     with mp.workdps(60):
         state = StageState(1, 102, mp.mpf("1.2"), ALPHA.value(50),
-                           [mp.mpc(0)], PhiAssignment(50))
+                           [mp.mpc(0)], PhiAssignment())
         new_state, report = stage_advance(state, ALPHA, ONE, profile)
         cls = report.per_class[0]
         assert cls["count_B"] == 0
@@ -160,7 +212,7 @@ def test_stage_thin_class():
     profile = ConstructionProfile(theta=Fraction(1, 20), n1=40, digits=30)
     with mp.workdps(40):
         state = StageState(1, 40, mp.mpf("1.1"), ALPHA.value(30),
-                           [mp.mpc(0)], PhiAssignment(30))
+                           [mp.mpc(0)], PhiAssignment())
         with pytest.raises(ThinClass):
             stage_advance(state, ALPHA, ONE, profile)
 
