@@ -1,9 +1,9 @@
 """Exact integer arithmetic shared by everything else.
 
-Deterministic primality testing (Miller-Rabin with the proven 64-bit base
-set), Brent-cycle Pollard rho factorization, polynomial root finding and
-Hensel lifting mod prime powers, and the periodic coefficient container
-used by the series evaluators.
+Deterministic primality testing (Miller-Rabin with prime base sets that
+are proven below 3.3e24), Brent-cycle Pollard rho factorization,
+polynomial root finding and Hensel lifting mod prime powers, and the
+periodic coefficient container used by the series evaluators.
 """
 
 from __future__ import annotations
@@ -35,10 +35,23 @@ def _sieve(limit):
 
 SMALL_PRIMES = _sieve(_SMALL_PRIME_LIMIT)
 
-# Miller-Rabin with these bases is a proven primality test below 3.3 * 10^24,
-# which covers the full 64-bit range we mostly live in.
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+# Miller-Rabin with the first k prime bases is a proven primality test below
+# psi_k, the least odd composite that is a strong pseudoprime to all of them
+# (Jaeschke 1993; Sorenson and Webster 2017).  (psi_k, k) for the k that
+# raise psi_k: psi_8 = psi_7 and psi_10 = psi_11 = psi_9.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
 _MR_RANDOM_ROUNDS = 40
 
 
@@ -61,15 +74,18 @@ def _mr_witness(n, a):
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: proven deterministic below ~3.3e24, 40 strong
-    probable-prime rounds (seeded by n, hence deterministic) above."""
+    """Primality test: proven below psi_13 ~ 3.3e24, where n runs the
+    first k prime bases for the least psi_k above it (2..41 at most); 40
+    strong probable-prime rounds (seeded by n, hence deterministic) above."""
     if n < 2:
         return False
     for p in SMALL_PRIMES[:20]:
         if n % p == 0:
             return n == p
-    if n < _MR_DETERMINISTIC_BOUND:
-        bases = _MR_BASES_64
+    for psi, k in _MR_PSI:
+        if n < psi:
+            bases = _MR_BASES[:k]
+            break
     else:
         rng = random.Random(n)
         bases = [rng.randrange(2, n - 2) for _ in range(_MR_RANDOM_ROUNDS)]
@@ -486,6 +502,20 @@ class PeriodicFunction:
     def abs_values(self):
         """|f(r)| per residue class, as floats."""
         return [abs(self(r)) for r in range(self.period)]
+
+    def converted(self, key, convert):
+        """(convert(f(0)), ..., convert(f(q-1))) from the exact values,
+        computed once per instance and `key`."""
+        table = self._converted
+        out = table.get(key)
+        if out is None:
+            out = table[key] = tuple(convert(v) for v in self.values)
+        return out
+
+    @cached_property
+    def _converted(self):
+        # per instance, so a lookup neither hashes nor compares the values
+        return {}
 
     def coefficient_sum(self):
         """Sum of one period of values, exactly."""

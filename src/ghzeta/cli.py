@@ -520,13 +520,13 @@ def cmd_zeros(args, seed):
                 for c in search.cells
             ],
             "zeros": [
-                {"sigma": z.real, "t": z.imag, "residual": abs(complex(F(z)))}
-                for z in search.zeros
+                {"sigma": z.real, "t": z.imag, "residual": r}
+                for z, r in zip(search.zeros, search.residuals)
             ],
         }
         if args.csv:
             _write_csv(args.csv, ("sigma", "t", "residual"),
-                       [(z.real, z.imag, abs(complex(F(z)))) for z in search.zeros])
+                       [(z.real, z.imag, r) for z, r in zip(search.zeros, search.residuals)])
     else:
         res = winding_number(F, rect)
         results = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass, field
 
 from .arith import PeriodicFunction
@@ -134,9 +135,29 @@ class ZeroSearchResult:
     region: Rectangle
     cells: list
     zeros: list  # refined, deduplicated, inside the region
+    residuals: list  # |F(zero)| for each of `zeros`
 
 
 RESIDUAL_TARGET = 1e-8
+
+_point_bits = struct.Struct("<2d").pack
+
+
+def _evaluated_once(series):
+    """`series` behind a table that evaluates each sample point once.
+
+    The key is the exact bits of the point, so +0.0 and -0.0 parts stay
+    apart; the table lives as long as the returned callable."""
+    table = {}
+
+    def F(z):
+        key = _point_bits(z.real, z.imag)
+        v = table.get(key)
+        if v is None:
+            v = table[key] = complex(series(z))
+        return v
+
+    return F
 
 
 def zero_search(series, region: Rectangle, grid=(4, 8)) -> ZeroSearchResult:
@@ -144,7 +165,12 @@ def zero_search(series, region: Rectangle, grid=(4, 8)) -> ZeroSearchResult:
     winding cell to its zeros.  Cells whose boundary passes too close to a
     zero are retried with slight outward padding, so zeros sitting on grid
     lines (or on the region boundary itself) are still caught; duplicates
-    from overlapping padded cells are merged at the end."""
+    from overlapping padded cells are merged at the end.
+
+    Adjacent cells share corners and edge samples, so the whole search
+    reads `series` through one table (`_evaluated_once`): each distinct
+    point is evaluated once, while each cell's `samples` still counts every
+    sample its boundary used."""
     if region.sigma_min <= 1:
         raise ValueError("zero searches live strictly in sigma > 1")
     nx, ny = grid
@@ -152,6 +178,7 @@ def zero_search(series, region: Rectangle, grid=(4, 8)) -> ZeroSearchResult:
         raise ValueError(f"grid dimensions must be positive, got {nx}x{ny}")
     dx = (region.sigma_max - region.sigma_min) / nx
     dy = (region.t_max - region.t_min) / ny
+    series = _evaluated_once(series)
     cells = []
     found = []
     for i in range(nx):
@@ -163,14 +190,13 @@ def zero_search(series, region: Rectangle, grid=(4, 8)) -> ZeroSearchResult:
             res = _wind_with_retries(series, cell, dx, dy)
             if res.winding > 0:
                 zeros = _refine_cell(series, res.rectangle, res.winding)
-                res.refined_zeros = [(z, abs(complex(series(z)))) for z in zeros]
-                found.extend(z for z, _ in res.refined_zeros)
+                res.refined_zeros = [(z, abs(series(z))) for z in zeros]
+                found.extend(res.refined_zeros)
             cells.append(res)
-    uniq = _dedupe(found)
     slack = 1e-6 + 0.02 * max(dx, dy)
-    inside = [z for z in uniq if region.contains(z, slack=slack)]
-    inside.sort(key=lambda z: (z.imag, z.real))
-    return ZeroSearchResult(region, cells, inside)
+    inside = [zr for zr in _dedupe(found) if region.contains(zr[0], slack=slack)]
+    inside.sort(key=lambda zr: (zr[0].imag, zr[0].real))
+    return ZeroSearchResult(region, cells, [z for z, _ in inside], [r for _, r in inside])
 
 
 def _wind_with_retries(series, cell, dx, dy):
@@ -267,11 +293,12 @@ def _secant_plain(series, cell):
     return None
 
 
-def _dedupe(zeros, tol=1e-6):
+def _dedupe(found, tol=1e-6):
+    """(zero, residual) pairs, keeping the first of zeros within tol."""
     out = []
-    for z in sorted(zeros, key=lambda w: (w.imag, w.real)):
-        if all(abs(z - w) > tol for w in out):
-            out.append(z)
+    for z, r in sorted(found, key=lambda zr: (zr[0].imag, zr[0].real)):
+        if all(abs(z - w) > tol for w, _ in out):
+            out.append((z, r))
     return out
 
 

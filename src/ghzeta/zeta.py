@@ -68,6 +68,9 @@ from .arith import PeriodicFunction
 POLE_TOLERANCE = 1e-12
 _MAX_CORRECTION_ORDER = 30
 _MAX_SHIFT_ESCALATIONS = 8
+# The head sum runs T >= |t| terms in a Python loop (about 0.4 s per 10^6
+# float-tier terms); past this many an evaluation is refused instead.
+_MAX_HEAD_TERMS = 1 << 22
 
 
 class PoleAtOne(ArithmeticError):
@@ -158,10 +161,13 @@ def to_ctx(ctx, x):
     return ctx.mpf(x)
 
 
-def _em_shift(ctx, s, digits):
+def _em_shift(s, digits):
     """Starting shift T of the Euler-Maclaurin head: past |t|, so the
     corrections decay from the first, and deep enough for `digits`."""
-    return max(10, int(ctx.ceil(abs(s.imag))), (digits + 1) // 2)
+    y = abs(s.imag)
+    ceil_y = int(y)  # exact truncation of a float or mpf, then round up
+    ceil_y += ceil_y < y
+    return max(10, ceil_y, (digits + 1) // 2)
 
 
 def _em_core(ctx, eps, s, a, tol, digits):
@@ -175,7 +181,7 @@ def _em_core(ctx, eps, s, a, tol, digits):
     happens within a few doublings for any sigma > -55.  The bound adds
     the rounding of the chosen shift (`_rounding_bound`) to the remainder.
     """
-    T = _em_shift(ctx, s, digits)
+    T = _em_shift(s, digits)
     best = None
     for _ in range(_MAX_SHIFT_ESCALATIONS):
         value, bound, magsum = _em_fixed_shift(ctx, s, a, T, tol)
@@ -193,7 +199,13 @@ def _em_core(ctx, eps, s, a, tol, digits):
 
 
 def _em_head(ctx, s, a, T):
-    """(sum_{n<T} (n+a)^(-s), sum_{n<T} |(n+a)^(-s)|)."""
+    """(sum_{n<T} (n+a)^(-s), sum_{n<T} |(n+a)^(-s)|); refuses T past
+    _MAX_HEAD_TERMS before summing anything."""
+    if T > _MAX_HEAD_TERMS:
+        raise PrecisionExhausted(
+            f"Euler-Maclaurin head of {T} terms exceeds the cap of {_MAX_HEAD_TERMS}"
+            f" at s={complex(s)}"
+        )
     head = ctx.mpc(0)
     magsum = ctx.mpf(0)
     for n in range(T):
@@ -276,11 +288,13 @@ def _rounding_bound(ctx, eps, s, a, w, magsum):
     return eps * float(magsum) * max(8, phase)
 
 
-def _eval_hurwitz(s, x, prof):
-    """(value, total_bound) for zeta(s, x), x > 0 real, s != 1; `s` and `x`
-    are numbers of prof's tier, at the precision its public caller set."""
-    ctx, eps, _ = _tier(prof)
-    return _em_core(ctx, eps, ctx.mpc(s), x, prof.target_tolerance, prof.working_digits)
+def _eval_hurwitz(s, x, prof, ctx, eps):
+    """(value, total_bound) for zeta(s, x), x > 0 real, s != 1, at prof's
+    tolerance: the one entry to an Euler-Maclaurin evaluation, which
+    tracing wraps by name.  `s` (complex) and `x` are numbers of the
+    context `ctx` and `eps` that the public caller's _tier(prof) chose, at
+    the precision it set."""
+    return _em_core(ctx, eps, s, x, prof.target_tolerance, prof.working_digits)
 
 
 def hurwitz_zeta(s, x, prof: PrecisionProfile = EXPLORE) -> EvalResult:
@@ -292,14 +306,14 @@ def hurwitz_zeta(s, x, prof: PrecisionProfile = EXPLORE) -> EvalResult:
     """
     if not float(x) > 0:
         raise ValueError("shift x must be positive")
-    ctx, _, precision = _tier(prof)
+    ctx, eps, precision = _tier(prof)
     with precision:
         s = ctx.mpc(to_ctx(ctx, s))
         if s == 1:
             raise PoleAtOne("zeta(s, x) has its simple pole at s = 1")
         if abs(s - 1) < POLE_TOLERANCE:
             return EvalResult(None, float("inf"), pole_flag=True)
-        return EvalResult(*_eval_hurwitz(s, to_ctx(ctx, x), prof))
+        return EvalResult(*_eval_hurwitz(s, to_ctx(ctx, x), prof, ctx, eps))
 
 
 def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> EvalResult:
@@ -319,7 +333,8 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
         s = ctx.mpc(to_ctx(ctx, s))
         a = to_ctx(ctx, alpha)
         q = f.period
-        coeffs = _class_coefficients(f, ctx, ctx.prec)
+        # converted once per function, context and precision
+        coeffs = f.converted((type(ctx), ctx.prec), lambda v: to_ctx(ctx, v))
         classes = [(fr, (r + a) / q) for r, fr in enumerate(coeffs) if fr != 0]
         res_re, res_im = f.coefficient_sum()
         has_pole = not (res_re == 0 and res_im == 0)
@@ -329,11 +344,11 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
             if s == 1:
                 raise PoleAtOne("F(s) has a pole at s = 1 (nonzero period sum)")
             return EvalResult(None, float("inf"), pole_flag=True)
-        sub = PrecisionProfile(prof.working_digits, prof.target_tolerance / max(1, len(classes)))
+        sub = _shared_profile(prof, len(classes))
         total = ctx.mpc(0)
         bound = 0.0
         for fr, shift in classes:
-            val, b = _eval_hurwitz(s, shift, sub)
+            val, b = _eval_hurwitz(s, shift, sub, ctx, eps)
             total += fr * val
             bound += float(abs(fr)) * b
         qs = ctx.mpf(q) ** (-s)
@@ -341,11 +356,9 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
 
 
 @lru_cache(maxsize=256)
-def _class_coefficients(f: PeriodicFunction, ctx, prec):
-    """(f(0), ..., f(q-1)) as ctx numbers, converted once per coefficient
-    function, context and precision `prec` (ctx's current one, the cache
-    key)."""
-    return tuple(to_ctx(ctx, f.exact(r)) for r in range(f.period))
+def _shared_profile(prof, n):
+    """prof with its tolerance shared among n residue classes."""
+    return PrecisionProfile(prof.working_digits, prof.target_tolerance / max(1, n))
 
 
 def _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof):
@@ -397,7 +410,7 @@ def _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof):
             powers = [p * L for p, (_, _, L) in zip(powers, logs)]
         return qs * (total - pole), abs_qs * (bound + rest), abs_qs * (truncation + rest)
 
-    T = _em_shift(ctx, s, prof.working_digits)
+    T = _em_shift(s, prof.working_digits)
     for _ in range(_MAX_SHIFT_ESCALATIONS):
         value, bound, truncation = at_shift(T)
         if truncation <= tol:
@@ -442,7 +455,7 @@ def class_tail(f: PeriodicFunction, alpha, sigma, N: int, r: int,
     one Hurwitz zeta value at real argument.  Requires sigma > 1."""
     if float(sigma) <= 1:
         raise DivergesAtOne("absolute tail diverges for sigma <= 1")
-    ctx, _, precision = _tier(prof)
+    ctx, eps, precision = _tier(prof)
     q = f.period
     n0 = r + q * ((N - r) // q + 1)  # smallest n > N with n = r (mod q)
     with precision:
@@ -450,7 +463,7 @@ def class_tail(f: PeriodicFunction, alpha, sigma, N: int, r: int,
         if a_fr == 0:
             return ctx.mpf(0), 0.0
         sg = to_ctx(ctx, sigma)
-        val, b = _eval_hurwitz(sg, (n0 + to_ctx(ctx, alpha)) / q, prof)
+        val, b = _eval_hurwitz(ctx.mpc(sg), (n0 + to_ctx(ctx, alpha)) / q, prof, ctx, eps)
         weight = a_fr * ctx.mpf(q) ** (-sg)
         return weight * val.real, float(weight) * b
 
@@ -462,13 +475,14 @@ def class_partial_sum(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
     q = f.period
     r = residue % q
     count = (N - r) // q + 1 if N >= r else 0
-    ctx, _, precision = _tier(prof)
+    ctx, eps, precision = _tier(prof)
     if count <= 0:
         return ctx.mpf(0), 0.0
     with precision:
         sg = to_ctx(ctx, sigma)
         a = to_ctx(ctx, alpha)
         qs = ctx.mpf(q) ** (-sg)
-        lo, b1 = _eval_hurwitz(sg, (r + a) / q, prof)
-        hi, b2 = _eval_hurwitz(sg, (r + q * count + a) / q, prof)
+        s = ctx.mpc(sg)
+        lo, b1 = _eval_hurwitz(s, (r + a) / q, prof, ctx, eps)
+        hi, b2 = _eval_hurwitz(s, (r + q * count + a) / q, prof, ctx, eps)
         return qs * (lo.real - hi.real), float(qs) * (b1 + b2)

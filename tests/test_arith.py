@@ -34,6 +34,56 @@ def trial_division(n):
     return tuple(out)
 
 
+# psi_k: the least odd composite that is a strong pseudoprime to each of the
+# first k prime bases (Jaeschke 1993; Sorenson and Webster 2017)
+PSI = {
+    1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+    6: 3474749660383, 7: 341550071728321, 8: 341550071728321,
+    9: 3825123056546413051, 10: 3825123056546413051, 11: 3825123056546413051,
+    12: 318665857834031151167461, 13: 3317044064679887385961981,
+}
+PSI_12 = PSI[12]
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    """n passes the strong Fermat test to base a (n odd, n > a)."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(r))
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_is_prime_rejects_every_psi(k):
+    n = PSI[k]
+    assert all(strong_probable_prime(n, a) for a in FIRST_PRIMES[:k])
+    assert not is_prime(n)
+
+
+def test_factorize_psi_12():
+    # the 12 bases 2..37 all pass psi_12; it used to be reported as a prime
+    assert factorize(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+
+
+def test_is_prime_agrees_with_twelve_bases_below_psi_12():
+    rng = random.Random(12)
+    corpus = [v for k, v in PSI.items() if k < 12]
+    for _ in range(3000):
+        n = rng.randrange(2, 10 ** rng.randint(2, 23)) | 1
+        corpus += [n, n + 2]
+    for _ in range(300):  # semiprimes with balanced factors
+        p, q = (rng.randrange(3, 10**11) | 1 for _ in range(2))
+        corpus.append(p * q)
+    for n in corpus:
+        assert n < PSI_12
+        small = next((p for p in FIRST_PRIMES if n % p == 0), None)
+        expect = n == small if small else all(
+            strong_probable_prime(n, a) for a in FIRST_PRIMES[:12])
+        assert is_prime(n) == expect, n
+
+
 def test_factorize_examples():
     assert factorize(1).factors == ()
     assert factorize(9998).factors == ((2, 1), (4999, 1))
@@ -180,6 +230,7 @@ def test_factor_cache_roundtrip(tmp_path):
     ("4,2 2", 4),  # a repeated prime
     ("34,2 17 3^0", 34),  # a zero exponent
     ("34,2 3", 34),  # factors that miss n
+    (f"{PSI_12},{PSI_12}", PSI_12),  # a strong pseudoprime to bases 2..37 as "prime"
 ])
 def test_factor_cache_skips_bad_lines(tmp_path, capsys, bad, n):
     path = tmp_path / "cache.csv"

@@ -143,6 +143,29 @@ def test_non_finite_number_is_usage_error(tmp_path, capsys, args):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("t", ["1e9", "1e300", "-1e9"])
+def test_eval_at_huge_t_refused_quickly(tmp_path, t):
+    # the head sum needs T >= |t| terms; these used to run for hours
+    src = str(Path(ghzeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghzeta.cli", "eval", "--sigma", "2", f"--t={t}",
+         "--alpha", "1", "--f", "1", "--output", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "PrecisionExhausted" in proc.stderr and "exceeds the cap" in proc.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_at_t_one_million_still_evaluates(tmp_path):
+    code, payload = run_cli(["eval", "--sigma", "2", "--t", "1e6", "--alpha", "1", "--f", "1"],
+                            tmp_path)
+    assert code == 0
+    z = mpmath.zeta(mpmath.mpc(2, 1e6))
+    assert abs(complex(payload["results"]["value_re"], payload["results"]["value_im"])
+               - complex(z)) < 1e-9
+
+
 @pytest.mark.parametrize("rect", ["1.3,1.9,0", "1.3,1.9,0,30,40"])
 def test_zeros_rect_needs_four_numbers(tmp_path, capsys, rect):
     with pytest.raises(SystemExit) as exc:

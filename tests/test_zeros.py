@@ -1,15 +1,18 @@
 import cmath
 import math
 import random
+import struct
 
 import pytest
 
 from ghzeta.arith import PeriodicFunction
+from ghzeta import zeros as zeros_module
 from ghzeta.structure import RationalShift, coefficients_at_alpha_one, decompose, lift_rational
 from ghzeta.zeros import (
     BoundaryTooCloseToZero,
     Rectangle,
     ZeroSearchResult,
+    _evaluated_once,
     decomposition_evaluator,
     dirichlet_polynomial_zeros,
     hurwitz_evaluator,
@@ -199,3 +202,49 @@ def test_lifted_decomposition_evaluator():
     for _ in range(5):
         s = complex(rng.uniform(1.4, 2.5), rng.uniform(-10, 10))
         assert abs(F(s) - direct(s)) < 1e-8
+
+
+def counting(series):
+    """series plus the exact bits of every point it was called at."""
+    calls = []
+
+    def F(s):
+        calls.append(struct.pack("<2d", s.real, s.imag))
+        return series(s)
+
+    return F, calls
+
+
+def test_zero_search_evaluates_each_point_once(monkeypatch):
+    F, calls = counting(FIX)
+    region = Rectangle(1.3, 1.9, 0, 30)
+    res = zero_search(F, region, (2, 4))
+    # the zero on the t = 0 edge made one cell retry with padding
+    assert any(c.rectangle.t_min < region.t_min for c in res.cells)
+    assert len(res.zeros) == len(res.residuals) >= 3
+    assert len(calls) == len(set(calls))
+    for z, resid in zip(res.zeros, res.residuals):
+        assert resid == abs(FIX(z)) < 1e-8
+    # without the table, neighbouring cells evaluate shared points again
+    monkeypatch.setattr(zeros_module, "_evaluated_once", lambda series: series)
+    G, repeated = counting(FIX)
+    again = zero_search(G, region, (2, 4))
+    assert set(repeated) == set(calls) and len(repeated) > len(calls)
+    assert again == res
+
+
+def test_zero_search_cells_match_lone_winding():
+    res = zero_search(FIX, Rectangle(1.3, 1.9, 0, 30), (2, 4))
+    for cell in res.cells:
+        alone = winding_number(FIX, cell.rectangle)
+        assert (cell.winding, cell.min_boundary_modulus, cell.samples) == (
+            alone.winding, alone.min_boundary_modulus, alone.samples)
+
+
+def test_signed_zero_points_evaluated_apart():
+    F, calls = counting(lambda s: complex(math.copysign(1.0, s.imag), 0))
+    table = _evaluated_once(F)
+    assert table(complex(1.5, 0.0)) == 1
+    assert table(complex(1.5, -0.0)) == -1
+    assert table(complex(1.5, 0.0)) == 1 and table(complex(1.5, -0.0)) == -1
+    assert len(calls) == 2
