@@ -46,6 +46,8 @@ from .structure import (
 from .zeros import (
     BoundaryTooCloseToZero,
     Rectangle,
+    ZERO_TOL,
+    UnresolvedZeros,
     decomposition_evaluator,
     periodic_series_evaluator,
     winding_number,
@@ -59,7 +61,7 @@ from .zeta import (
     f_eval,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class SchemaMismatch(Exception):
@@ -69,7 +71,7 @@ class SchemaMismatch(Exception):
 DOMAIN_ERRORS = (
     ThinClass, Unreachable, EmptyWindow, PoleAtOne, DivergesAtOne,
     PrecisionExhausted, FactorizationOverflow, BoundaryTooCloseToZero,
-    UnsupportedAlpha, PreconditionViolated, SchemaMismatch,
+    UnsupportedAlpha, PreconditionViolated, SchemaMismatch, UnresolvedZeros,
 )
 
 
@@ -516,6 +518,7 @@ def cmd_zeros(args, seed):
                     "winding": c.winding,
                     "min_boundary_modulus": c.min_boundary_modulus,
                     "samples": c.samples,
+                    "unresolved": c.unresolved,
                 }
                 for c in search.cells
             ],
@@ -612,10 +615,31 @@ def _recheck(payload, fraction, seed):
             mismatches.append("value_str")
     elif command == "zeros":
         F = _zero_evaluator(_f_from_config(config), _alpha_from_config(config))
-        for zj in sample(results.get("zeros", [])):
+        zeros = [complex(zj["sigma"], zj["t"]) for zj in results.get("zeros", [])]
+        for z in sample(zeros):
             checked += 1
-            if abs(complex(F(complex(zj["sigma"], zj["t"])))) > 1e-7:
-                mismatches.append([zj["sigma"], zj["t"]])
+            if abs(complex(F(z))) > 1e-7:
+                mismatches.append([z.real, z.imag])
+        cells = results.get("cells") or [{"rect": config["rect"], "winding": results["winding"]}]
+        for cell in sample(cells):  # the winding a cell claims, wound again
+            checked += 1
+            try:
+                winding = winding_number(F, Rectangle(*cell["rect"])).winding
+            except BoundaryTooCloseToZero:
+                winding = None
+            if winding != cell["winding"]:
+                mismatches.append(["winding", cell["rect"]])
+        if config["grid"]:
+            rects = [(Rectangle(*cell["rect"]), cell) for cell in cells]
+            for rect, cell in rects:  # a winding no listed zero or unresolved count covers
+                checked += 1
+                located = sum(rect.contains(z, ZERO_TOL) for z in zeros)
+                if located + cell["unresolved"] < cell["winding"]:
+                    mismatches.append(["account", cell["rect"]])
+            for z in zeros:  # a zero in no winding cell
+                checked += 1
+                if not any(c["winding"] and r.contains(z, ZERO_TOL) for r, c in rects):
+                    mismatches.append(["outside", [z.real, z.imag]])
     elif command == "construct-phi":
         # phases must be unimodular; spot-check the stage log consistency
         for stage in sample(payload["results"]["stages"]):

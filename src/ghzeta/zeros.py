@@ -4,8 +4,8 @@ The winding number of F around a rectangle counts interior zeros with
 multiplicity (F is analytic and pole-free in the searched half-plane).
 Argument increments are accumulated along adaptively refined boundary
 samples; a step is accepted only when the local phase change stays below
-pi/2, which pins the branch.  Cells that wind once are polished to a
-zero by complex secant iteration.
+pi/2, which pins the branch.  Each winding cell is refined (`_refine`)
+into located zeros plus an `unresolved` count that add up to its winding.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ _PHASE_CAP = math.pi / 2
 class BoundaryTooCloseToZero(ArithmeticError):
     """|F| collapsed on the boundary (or the phase kept jumping after full
     subdivision); perturb the rectangle and retry."""
+
+
+class UnresolvedZeros(ArithmeticError):
+    """A scan found winding it could not turn into located zeros."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,7 @@ class WindingResult:
     min_boundary_modulus: float
     samples: int
     refined_zeros: list = field(default_factory=list)  # (zero, |F(zero)|)
+    unresolved: int = 0  # winding not accounted for by refined_zeros
 
 
 def winding_number(series, rect: Rectangle) -> WindingResult:
@@ -134,11 +139,13 @@ def _tracked_delta(probe, za, zb, va, vb, depth, rect, state):
 class ZeroSearchResult:
     region: Rectangle
     cells: list
-    zeros: list  # refined, deduplicated, inside the region
+    zeros: list  # refined, deduplicated; each inside the (padded) cell that wound it
     residuals: list  # |F(zero)| for each of `zeros`
 
 
 RESIDUAL_TARGET = 1e-8
+MAX_REFINE_DEPTH = 6
+ZERO_TOL = 1e-6  # zeros closer than this are one; a zero this far out of a cell is in it
 
 _point_bits = struct.Struct("<2d").pack
 
@@ -189,14 +196,12 @@ def zero_search(series, region: Rectangle, grid=(4, 8)) -> ZeroSearchResult:
             )
             res = _wind_with_retries(series, cell, dx, dy)
             if res.winding > 0:
-                zeros = _refine_cell(series, res.rectangle, res.winding)
+                zeros, res.unresolved = _refine(series, res.rectangle, res.winding)
                 res.refined_zeros = [(z, abs(series(z))) for z in zeros]
-                found.extend(res.refined_zeros)
+                found.extend(zeros)
             cells.append(res)
-    slack = 1e-6 + 0.02 * max(dx, dy)
-    inside = [zr for zr in _dedupe(found) if region.contains(zr[0], slack=slack)]
-    inside.sort(key=lambda zr: (zr[0].imag, zr[0].real))
-    return ZeroSearchResult(region, cells, [z for z, _ in inside], [r for _, r in inside])
+    zeros = _dedupe(found)
+    return ZeroSearchResult(region, cells, zeros, [abs(series(z)) for z in zeros])
 
 
 def _wind_with_retries(series, cell, dx, dy):
@@ -211,94 +216,56 @@ def _wind_with_retries(series, cell, dx, dy):
     )
 
 
-def _refine_cell(series, cell, winding, depth=0):
-    if winding == 1 or depth >= 6:
-        z = _secant(series, cell)
-        return [z] if z is not None else []
-    # several zeros: split along the longer side until separated
-    zeros = []
-    if (cell.sigma_max - cell.sigma_min) >= (cell.t_max - cell.t_min):
-        mid = (cell.sigma_min + cell.sigma_max) / 2
-        halves = [Rectangle(cell.sigma_min, mid, cell.t_min, cell.t_max),
-                  Rectangle(mid, cell.sigma_max, cell.t_min, cell.t_max)]
-    else:
-        mid = (cell.t_min + cell.t_max) / 2
-        halves = [Rectangle(cell.sigma_min, cell.sigma_max, cell.t_min, mid),
-                  Rectangle(cell.sigma_min, cell.sigma_max, mid, cell.t_max)]
-    for half in halves:
-        res = _wind_with_retries(series, half,
-                                 half.sigma_max - half.sigma_min,
-                                 half.t_max - half.t_min)
-        if res.winding > 0:
-            zeros.extend(_refine_cell(series, res.rectangle, res.winding, depth + 1))
-    return zeros
+def _refine(series, cell, winding, depth=0):
+    """(zeros, unresolved) of a cell that winds `winding` times; the two
+    add up to `winding`.
+
+    A cell that winds once runs a complex secant iteration from its centre
+    (abandoned when a step leaves the cell padded by its own size plus 0.5);
+    the end point counts if |F| < RESIDUAL_TARGET there and it lies in the
+    cell, not a neighbour.  Otherwise the cell is split into quadrants, and
+    each quadrant that winds is refined in turn.  Winding still without a
+    zero after MAX_REFINE_DEPTH splits (a multiple zero, a quadrant that
+    cannot be wound) is unresolved."""
+    width, height = cell.sigma_max - cell.sigma_min, cell.t_max - cell.t_min
+    if winding == 1:
+        z0 = complex((cell.sigma_min + cell.sigma_max) / 2, (cell.t_min + cell.t_max) / 2)
+        z1 = z0 + complex(width, height) * 0.07
+        f0, f1 = series(z0), series(z1)
+        bail = cell.padded(width, height)
+        for _ in range(80):
+            if (abs(f1) < RESIDUAL_TARGET and abs(f1) <= abs(f0)) or f1 == f0:
+                break
+            z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
+            if not bail.contains(z2, slack=0.5):
+                break
+            z0, f0, z1 = z1, f1, z2
+            f1 = series(z1)
+        if abs(f1) < RESIDUAL_TARGET and cell.contains(z1, ZERO_TOL):
+            return [z1], 0
+    found = []
+    if depth < MAX_REFINE_DEPTH:
+        w, h = width / 2, height / 2
+        for i in range(2):
+            for j in range(2):
+                quad = Rectangle(cell.sigma_min + i * w, cell.sigma_min + (i + 1) * w,
+                                 cell.t_min + j * h, cell.t_min + (j + 1) * h)
+                try:
+                    res = _wind_with_retries(series, quad, w, h)
+                except BoundaryTooCloseToZero:
+                    continue  # its winding stays unaccounted, so unresolved
+                if res.winding > 0:
+                    found += _refine(series, res.rectangle, res.winding, depth + 1)[0]
+    zeros = [z for z in _dedupe(found) if cell.contains(z, ZERO_TOL)][:winding]
+    return zeros, winding - len(zeros)
 
 
-def _secant(series, cell):
-    z0 = complex((cell.sigma_min + cell.sigma_max) / 2, (cell.t_min + cell.t_max) / 2)
-    z1 = z0 + complex(cell.sigma_max - cell.sigma_min, cell.t_max - cell.t_min) * 0.07
-    f0, f1 = complex(series(z0)), complex(series(z1))
-    bail = cell.padded(cell.sigma_max - cell.sigma_min, cell.t_max - cell.t_min)
-    for _ in range(80):
-        if abs(f1) < RESIDUAL_TARGET and abs(f1) <= abs(f0):
-            return z1
-        if f1 == f0:
-            break
-        z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
-        if not bail.contains(z2, slack=0.5):
-            break
-        z0, f0, z1 = z1, f1, z2
-        f1 = complex(series(z1))
-    if abs(f1) < RESIDUAL_TARGET:
-        return z1
-    # secant wandered; squeeze by winding bisection and retry
-    res = None
-    for _ in range(3):
-        sub = _split_to_winding_cell(series, cell)
-        if sub is None:
-            break
-        cell = sub
-        res = _secant_plain(series, cell)
-        if res is not None:
-            return res
-    return res
-
-
-def _split_to_winding_cell(series, cell):
-    dx = (cell.sigma_max - cell.sigma_min) / 2
-    dy = (cell.t_max - cell.t_min) / 2
-    for i in range(2):
-        for j in range(2):
-            quad = Rectangle(cell.sigma_min + i * dx, cell.sigma_min + (i + 1) * dx,
-                             cell.t_min + j * dy, cell.t_min + (j + 1) * dy)
-            try:
-                if _wind_with_retries(series, quad, dx, dy).winding > 0:
-                    return quad
-            except BoundaryTooCloseToZero:
-                continue
-    return None
-
-
-def _secant_plain(series, cell):
-    z0 = complex((cell.sigma_min + cell.sigma_max) / 2, (cell.t_min + cell.t_max) / 2)
-    z1 = z0 + complex(cell.sigma_max - cell.sigma_min, 0) * 0.11
-    f0, f1 = complex(series(z0)), complex(series(z1))
-    for _ in range(80):
-        if abs(f1) < RESIDUAL_TARGET:
-            return z1
-        if f1 == f0:
-            return None
-        z0, f0, z1 = z1, f1, z1 - f1 * (z1 - z0) / (f1 - f0)
-        f1 = complex(series(z1))
-    return None
-
-
-def _dedupe(found, tol=1e-6):
-    """(zero, residual) pairs, keeping the first of zeros within tol."""
+def _dedupe(found, tol=ZERO_TOL):
+    """Zeros sorted by (t, sigma), keeping the first of zeros within tol."""
     out = []
-    for z, r in sorted(found, key=lambda zr: (zr[0].imag, zr[0].real)):
-        if all(abs(z - w) > tol for w, _ in out):
-            out.append((z, r))
+    for z in sorted(found, key=lambda z: (z.imag, z.real)):
+        if all(abs(z - w) > tol for w in out):
+            out.append(z)
     return out
 
 
@@ -389,7 +356,8 @@ def polynomial_sigma_bound(poly: dict, margin: float = 0.5) -> float:
 
 def dirichlet_polynomial_zeros(poly: dict, t_max: float = 30.0, sigma_min: float = 1.01):
     """All zeros of the Dirichlet polynomial in [sigma_min, sigma_bound] x
-    [0, t_max], found by winding; returns (zeros, region tuple).
+    [0, t_max], found by winding; returns (zeros, region tuple).  Raises
+    UnresolvedZeros when cells wind but no zero was located.
 
     Real-coefficient polynomials have conjugate-symmetric zeros, so their
     scan only dips slightly below t = 0 (to catch real zeros) and reports
@@ -405,4 +373,8 @@ def dirichlet_polynomial_zeros(poly: dict, t_max: float = 30.0, sigma_min: float
     ny = max(4, int((t_max + pad_below) / 1.5))
     result = zero_search(polynomial_evaluator(poly), region, (nx, ny))
     zeros = [z for z in result.zeros if z.imag >= -1e-6] if real_coeffs else result.zeros
+    stuck = next((c for c in result.cells if c.unresolved), None)
+    if stuck and not zeros:  # P vanishes there, so "no zeros found" would be false
+        raise UnresolvedZeros(f"cell {stuck.rectangle.as_tuple()} winds {stuck.winding} times "
+                              f"but {stuck.unresolved} of its zeros could not be located")
     return zeros, region.as_tuple()

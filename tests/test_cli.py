@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 import ghzeta
-from ghzeta.cli import main
+from ghzeta.cli import SCHEMA_VERSION, main
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -32,7 +32,7 @@ def test_eval_basic(tmp_path):
         tmp_path,
     )
     assert code == 0
-    assert payload["schema"] == 2
+    assert payload["schema"] == SCHEMA_VERSION
     assert abs(payload["results"]["value_re"] - math.pi**2 / 6) < 1e-10
     assert payload["results"]["error_bound"] < 1e-10
 
@@ -418,6 +418,71 @@ def test_zeros_report_verifies(tmp_path):
                  "--output", str(tmp_path / "vz.json")]) == 0
 
 
+# cell (1.3, 1.6, -1, 6.75) winds once around log2(3), but the secant from
+# its centre leaves the cell; the zero used to be lost
+SECANT_LEAVES_CELL = ["zeros", "--alpha", "1", "--f", "1,-2", "--q", "2",
+                      "--rect", "1.3,1.9,-1,30", "--grid", "2x4"]
+
+
+def test_zeros_finds_zero_whose_secant_leaves_its_cell(tmp_path):
+    code, payload = run_cli(SECANT_LEAVES_CELL, tmp_path)
+    assert code == 0
+    res = payload["results"]
+    assert [(c["winding"], c["unresolved"]) for c in res["cells"]] == [(1, 0)] * 4 + [(0, 0)] * 4
+    zs = [complex(z["sigma"], z["t"]) for z in res["zeros"]]
+    assert len(zs) == 4
+    assert abs(zs[0] - math.log2(3)) < 1e-9
+    for k, z in enumerate(zs[1:], 1):  # t = 9.06, 18.13, 27.19
+        assert abs(z - complex(math.log2(3), 2 * math.pi * k / math.log(2))) < 1e-8
+
+
+@pytest.mark.parametrize("cell, winding, caught_by", [
+    (4, 1, "account"),  # a zero-free cell claims a zero no listed zero covers
+    (0, 0, "outside"),  # the zero at log2(3) then lies in no winding cell
+])
+def test_verify_zeros_catches_edited_winding(tmp_path, cell, winding, caught_by):
+    code, payload = run_cli(SECANT_LEAVES_CELL, tmp_path)
+    assert code == 0
+    code, vr = _verify(tmp_path / "report.json", tmp_path)
+    assert code == 0 and vr["results"]["ok"]
+    assert vr["results"]["checked"] == 4 + 8 + 8 + 4  # residuals, rewinds, accounts, zeros
+    payload["results"]["cells"][cell]["winding"] = winding
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, vr = _verify(bad, tmp_path)  # every cell rewound
+    assert code == 2
+    assert ["winding", payload["results"]["cells"][cell]["rect"]] in vr["results"]["mismatches"]
+    # at the default fraction one cell is rewound; the account still catches it
+    out = tmp_path / "default.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(bad), "--output", str(out)])
+    assert exc.value.code == 2
+    assert caught_by in [m[0] for m in json.loads(out.read_text())["results"]["mismatches"]]
+
+
+def test_zeros_winding_only_report_is_rewound(tmp_path):
+    args = ["zeros", "--alpha", "1", "--f", "1,-2", "--q", "2", "--rect", "1.4,1.8,8,10"]
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0 and payload["results"]["winding"] == 1
+    assert _verify(tmp_path / "report.json", tmp_path)[0] == 0
+    payload["results"]["winding"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, vr = _verify(bad, tmp_path)
+    assert code == 2 and vr["results"]["mismatches"] == [["winding", [1.4, 1.8, 8.0, 10.0]]]
+
+
+def test_classify_unresolved_scan_is_domain_error(tmp_path, capsys, monkeypatch):
+    from ghzeta import zeros
+
+    # a refinement that locates nothing must not read as "no zeros found"
+    monkeypatch.setattr(zeros, "_refine", lambda series, cell, winding, depth=0: ([], winding))
+    code, payload = run_cli(["classify", "--alpha", "1", "--f", "1,-2", "--q", "2"], tmp_path)
+    assert code == 2 and payload is None
+    assert capsys.readouterr().err.startswith(
+        "UnresolvedZeros: cell (1.5075, 2.005, -0.25, 1.2625) winds 1 times")
+
+
 def test_density_empty_window_exit_code(tmp_path):
     args = ["density", "--minpoly", "1,2,-1", "--interval", "0.4,0.5", "--q", "5",
             "--theta", "1/50", "--N", "100", "--b", "3"]
@@ -531,8 +596,8 @@ def test_verify_rejects_other_schema(tmp_path, capsys):
 
 @pytest.mark.parametrize("payload", [
     {"command": "classify", "config": {}, "results": {}},
-    {"schema": 2, "command": "classify", "config": {}, "results": {}},
-    {"schema": 2, "command": "factor-ideals", "config": {"alpha": {}}, "results": {}},
+    {"schema": SCHEMA_VERSION, "command": "classify", "config": {}, "results": {}},
+    {"schema": SCHEMA_VERSION, "command": "factor-ideals", "config": {"alpha": {}}, "results": {}},
     [1, 2, 3],
 ])
 def test_verify_malformed_report_is_usage_error(tmp_path, capsys, payload):

@@ -11,6 +11,7 @@ from ghzeta.structure import RationalShift, coefficients_at_alpha_one, decompose
 from ghzeta.zeros import (
     BoundaryTooCloseToZero,
     Rectangle,
+    UnresolvedZeros,
     ZeroSearchResult,
     _evaluated_once,
     decomposition_evaluator,
@@ -248,3 +249,59 @@ def test_signed_zero_points_evaluated_apart():
     assert table(complex(1.5, -0.0)) == -1
     assert table(complex(1.5, 0.0)) == 1 and table(complex(1.5, -0.0)) == -1
     assert len(calls) == 2
+
+
+def planted_product(c, d, t_max):
+    """(1 - c 2^-s)(1 - d 3^-s) for real c, d > 1, and its zeros
+    log_n(a) + 2 pi i k / ln n with 0 <= t <= t_max."""
+    poly = {1: 1, 2: -c, 3: -d, 6: c * d}
+    zeros = [complex(math.log(a, n), 2 * math.pi * k / math.log(n))
+             for a, n in ((c, 2), (d, 3)) for k in range(int(t_max * math.log(n) / (2 * math.pi)) + 1)]
+    return polynomial_evaluator(poly), zeros
+
+
+@pytest.mark.parametrize("c, d", [(3.0, 3**1.3), (2.5, 5.0)])
+@pytest.mark.parametrize("grid", [(1, 3), (1, 6), (2, 7), (3, 5)])
+def test_every_cell_accounts_for_its_winding(c, d, grid):
+    # (1, 3) and (1, 6) put the two zeros at t = 0 in one cell; (2, 7) and
+    # (3, 5) used to lose zeros whose secant ended in a neighbouring cell
+    P, planted = planted_product(c, d, 20)
+    res = zero_search(P, Rectangle(1.1, 1.9, -1, 20), grid)
+    if grid[0] == 1:
+        assert any(cell.winding >= 2 for cell in res.cells)
+    for cell in res.cells:
+        assert len(cell.refined_zeros) + cell.unresolved == cell.winding
+        assert cell.unresolved == 0
+    assert len(res.zeros) == len(planted) == sum(cell.winding for cell in res.cells)
+    for w in planted:
+        assert sum(abs(z - w) < 1e-6 for z in res.zeros) == 1
+
+
+def test_double_zero_cell_is_unresolved_not_dropped():
+    P = polynomial_evaluator({1: 1, 2: -6, 4: 9})  # (1 - 3 2^-s)^2
+    res = zero_search(P, Rectangle(1.3, 1.9, -1, 10), (1, 2))
+    assert [cell.winding for cell in res.cells] == [2, 2]
+    for cell in res.cells:
+        assert cell.unresolved >= 1
+        assert len(cell.refined_zeros) + cell.unresolved == cell.winding
+    for z in res.zeros:  # |F| ~ distance^2 here, so 1e-8 residuals place it to ~1e-4
+        assert abs(z.real - LOG2_3) < 1e-4
+
+
+def test_secant_ending_outside_its_cell_falls_back_to_quadrants():
+    # from the cell centre the secant runs to b, a zero just outside the
+    # cell; the zero a the cell winds around must be found all the same
+    a, b = complex(1.25, 0.2), complex(1.9, 2.0)
+    F, calls = counting(lambda s: (s - a) * (s - b))
+    res = zero_search(F, Rectangle(1.2, 1.8, 0, 4), (1, 1))
+    assert any(abs(complex(*struct.unpack("<2d", p)) - b) < 1e-6 for p in calls)
+    (cell,) = res.cells
+    assert (cell.winding, cell.unresolved) == (1, 0)
+    assert len(res.zeros) == 1 and abs(res.zeros[0] - a) < 1e-8
+
+
+def test_polynomial_scan_with_only_unresolved_cells_raises(monkeypatch):
+    monkeypatch.setattr(zeros_module, "_refine",
+                        lambda series, cell, winding, depth=0: ([], winding))
+    with pytest.raises(UnresolvedZeros, match=r"cell \(1\.5075, 2\.005, -0\.25, 1\.2625\) winds 1 times"):
+        dirichlet_polynomial_zeros({1: 1, 2: -3}, t_max=30)
