@@ -17,7 +17,7 @@ recorded write-once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import fp, mp
@@ -29,8 +29,7 @@ from .zeta import (
     PrecisionExhausted,
     PrecisionProfile,
     abs_coefficient,
-    abs_tail_with_bound,
-    class_partial_sum,
+    class_cut,
     class_tail,
     to_ctx,
 )
@@ -203,6 +202,10 @@ def bohr_solve(radii, target, ctx=fp):
 # phase bookkeeping
 
 
+# rounding slack of a computed unit phase, in units of its epsilon
+_UNIT_ULPS = 16
+
+
 class PhiAssignment:
     """Write-once map from prime ideal keys to unit phases.
 
@@ -216,11 +219,13 @@ class PhiAssignment:
         self._table = {}
 
     def set_phase(self, key, phase):
-        """Record `phase` for `key`, checked unimodular at the caller's
-        working precision."""
+        """Record `phase` for `key`, checked unimodular to the precision it
+        carries: to _UNIT_ULPS units of mp.eps (the caller's working
+        precision) for an mpmath number, of the float epsilon otherwise."""
         if key in self._table:
             raise RuntimeError(f"phase for {key} already assigned (write-once)")
-        if abs(abs(phase) - 1) > 1e-14:
+        eps = mp.eps if isinstance(phase, (mp.mpf, mp.mpc)) else fp.eps
+        if abs(abs(phase) - 1) > _UNIT_ULPS * eps:
             raise ValueError(f"phase for {key} is not unimodular")
         self._table[key] = phase
 
@@ -278,6 +283,9 @@ class SigmaCertificate:
     tail: float
     tail_bound: float
     contraction: float
+    # per class b, f(b) sum_{n <= N1, n = b (q)} (n+alpha)^-sigma at working
+    # precision: the first stage's class sums, not part of the report
+    class_sums: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def certified(self):
@@ -302,10 +310,9 @@ def select_sigma(f: PeriodicFunction, alpha, profile: ConstructionProfile) -> Si
             sigma = 1 + mp.mpf(profile.delta) / 2**k
             if sigma - 1 < mp.mpf(10) ** (-(profile.digits - 10)):
                 break
-            head, head_b = _abs_head(f, alpha_val, sigma, n1, prec)
-            tail, tail_b = abs_tail_with_bound(f, alpha_val, sigma, n1, prec)
+            sums, head, head_b, tail, tail_b = _class_sums(f, alpha_val, sigma, n1, prec)
             cert = SigmaCertificate(
-                sigma, n1, float(head), head_b, float(tail), tail_b, contraction
+                sigma, n1, float(head), head_b, float(tail), tail_b, contraction, tuple(sums)
             )
             if cert.certified:
                 return cert
@@ -314,32 +321,28 @@ def select_sigma(f: PeriodicFunction, alpha, profile: ConstructionProfile) -> Si
     )
 
 
-def _abs_head(f, alpha_val, sigma, n_top, prec):
-    """sum_{0 <= n <= n_top} |f(n)| (n+alpha)^-sigma with certified bound."""
-    total = mp.mpf(0)
-    bound = 0.0
-    for r in range(f.period):
-        w = abs_coefficient(f, r, mp)
-        if w == 0:
-            continue
-        val, b = class_partial_sum(f, alpha_val, sigma, n_top, r, prec)
-        total += w * val
-        bound += float(w) * b
-    return total, bound
-
-
 def _class_sums(f, alpha_val, sigma, n_top, prec):
-    """f(b) sum_{0 <= n <= n_top, n = b (mod q)} (n+alpha)^-sigma for each
-    class b, at the current working precision; every phase there is 1."""
+    """(sums, head, head_bound, tail, tail_bound) at the cut n_top, from one
+    class_cut per class b with f(b) != 0, at the current working precision:
+    sums[b] = f(b) sum_{0 <= n <= n_top, n = b (mod q)} (n+alpha)^-sigma
+    (every phase there is 1), head = sum_{n <= n_top} |f(n)| (n+alpha)^-sigma
+    and tail = sum_{n > n_top} |f(n)| (n+alpha)^-sigma, each with its
+    certified bound."""
     sums = []
+    head, head_bound = mp.mpf(0), 0.0
+    tail, tail_bound = mp.mpf(0), 0.0
     for b in range(f.period):
-        fb = to_ctx(mp, f.exact(b))
-        if fb == 0:
+        w = abs_coefficient(f, b, mp)
+        if w == 0:
             sums.append(mp.mpc(0))
             continue
-        val, _ = class_partial_sum(f, alpha_val, sigma, n_top, b, prec)
-        sums.append(fb * val)
-    return sums
+        (val, vb), (t, tb) = class_cut(f, alpha_val, sigma, n_top, b, prec)
+        sums.append(to_ctx(mp, f.exact(b)) * val)
+        head += w * val
+        head_bound += float(w) * vb
+        tail += t
+        tail_bound += tb
+    return sums, head, head_bound, tail, tail_bound
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +357,8 @@ class StageState:
     alpha_val: object
     class_sums: list  # per b: running sum_{n<=N_j, n=b (q)} f(n) phi(n) (n+alpha)^-sigma
     phi: PhiAssignment
+    # (value, bound) of sum_{n > N_j} |f(n)| (n+alpha)^-sigma, once known
+    tail: tuple | None = None
 
 
 @dataclass
@@ -436,6 +441,7 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
         weight = {n: (n + a_val) ** (-sigma) for n in records}
         c = to_ctx(mp, profile.contraction)
         new_sums = list(state.class_sums)
+        tail, tail_bound = mp.mpf(0), 0.0  # abs tail past n_next, summed over the classes
         for b in range(q):
             fb = to_ctx(mp, f.exact(b))  # every member of the class shares it
             fb_abs = abs_coefficient(f, b, mp)
@@ -449,7 +455,9 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
             s1 = abs(state.class_sums[b])
             s2 = fb_abs * mp.fsum(weight[n] for n in members_b)
             s3 = fb_abs * mp.fsum(weight[n] for n in members_a)
-            s4, _ = class_tail(f, a_val, sigma, n_next, b, prec)
+            s4, s4_bound = class_tail(f, a_val, sigma, n_next, b, prec)
+            tail += s4
+            tail_bound += s4_bound
 
             placed = mp.mpc(0)
             if fb_abs == 0:
@@ -498,12 +506,11 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
                 )
 
         lhs = abs(mp.fsum(new_sums))
-        tail, tail_bound = abs_tail_with_bound(f, a_val, sigma, n_next, prec)
         rhs = c * (tail - tail_bound)
         induction_ok = bool(lhs + tol < rhs)
 
     new_state = StageState(state.j + 1, n_next, state.sigma, state.alpha_val,
-                           new_sums, state.phi)
+                           new_sums, state.phi, (tail, tail_bound))
     report = StageReport(
         state.j, n_j, m_j, n_next, reports,
         float(lhs), float(rhs), induction_ok,
@@ -601,13 +608,9 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
     cert = select_sigma(f, alpha, profile)
     sigma = cert.sigma
     alpha_val = alpha.value(digits)
-    prec = profile.precision()
-
-    with mp.workdps(digits + 10):
-        sums = _class_sums(f, alpha_val, sigma, profile.n1, prec)
 
     phi = PhiAssignment()
-    state = StageState(1, profile.n1, sigma, alpha_val, sums, phi)
+    state = StageState(1, profile.n1, sigma, alpha_val, list(cert.class_sums), phi)
     stage_logs = []
     for _ in range(stages):
         state, rep = stage_advance(state, alpha, f, profile, cache)
@@ -616,9 +619,9 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
     with mp.workdps(digits + 10):
         incremental = mp.fsum(state.class_sums)
         scratch = _recompute_from_scratch(f, alpha, alpha_val, sigma, profile.n1,
-                                          state.n_current, phi, cache, prec)
+                                          state.n_current, phi, cache)
         delta = float(abs(incremental - scratch))
-        tail, tail_b = abs_tail_with_bound(f, alpha_val, sigma, state.n_current, prec)
+        tail, tail_b = state.tail  # the last stage's tail past state.n_current
         envelope = float(abs(incremental)) < float(profile.contraction) * float(tail - tail_b)
         frac = float(abs(incremental) / tail)
         sigma_str = mp.nstr(sigma, digits)
@@ -638,30 +641,33 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
     return report, state, phi.log_rows(digits)
 
 
-_DIRECT_HEAD_CAP = 200_000
-
-
-def _recompute_from_scratch(f, alpha, alpha_val, sigma, n1, n_top, phi, cache, prec):
+def _recompute_from_scratch(f, alpha, alpha_val, sigma, n1, n_top, phi, cache):
     """Independent re-evaluation of sum_{n <= n_top} f(n) phi(n) (n+alpha)^-sigma.
 
     On the head n <= N1 the twist is provably 1: a private prime assigned
     in any stage exceeds its window member m, so its residue class meets
     [0, p) only at m > N1, and every other assigned phase defaults to 1.
-    The head is therefore summed term by term without factorizations
-    (falling back to the zeta route only beyond the direct cap); window
-    terms always rebuild phi(n) from their own factorization."""
+    The head is therefore summed in closed form by mpmath's own Hurwitz
+    zeta, not ghzeta's Euler-Maclaurin, at every N1:
+    q^-sigma sum_b f(b) [zeta(sigma, x_b) - zeta(sigma, x_b + count_b)],
+    x_b = (b+alpha)/q, count_b the class members n <= N1.  Each zeta is
+    about 1/(sigma-1) and the difference cancels that much, so it runs
+    with log10(1/(sigma-1)) guard digits.  Window terms always rebuild
+    phi(n) from their own factorization."""
     q = f.period
     coeff = [to_ctx(mp, f.exact(b)) for b in range(q)]
-    if n1 <= _DIRECT_HEAD_CAP:
-        head = mp.fsum(coeff[n % q] * (n + alpha_val) ** (-sigma)
-                       for n in range(n1 + 1) if coeff[n % q] != 0)
-    else:
-        head = sum(_class_sums(f, alpha_val, sigma, n1, prec), mp.mpc(0))
-    terms = []
+    with mp.extradps(max(0, int(-mp.log10(sigma - 1))) + 1):
+        head = mp.mpc(0)
+        for b in range(min(q, n1 + 1)):
+            if coeff[b] != 0:
+                x = (b + alpha_val) / q
+                head += coeff[b] * (mp.zeta(sigma, x) - mp.zeta(sigma, x + (n1 - b) // q + 1))
+        head *= mp.mpf(q) ** (-sigma)
+    terms = [head]
     for n in range(n1 + 1, n_top + 1):
         if coeff[n % q] == 0:
             continue
         rec = ideal_factorize(alpha, n, cache)
         phi_n = phi.phase_of_record(rec)
         terms.append(coeff[n % q] * phi_n * (n + alpha_val) ** (-sigma))
-    return head + mp.fsum(terms)
+    return mp.fsum(terms)

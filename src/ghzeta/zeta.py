@@ -450,28 +450,35 @@ def abs_tail_with_bound(f: PeriodicFunction, alpha, sigma, N: int, prof: Precisi
 
 
 def class_tail(f: PeriodicFunction, alpha, sigma, N: int, r: int,
-               prof: PrecisionProfile = EXPLORE):
+               prof: PrecisionProfile = EXPLORE, upper=None):
     """(value, bound) for |f(r)| sum_{n > N, n = r (mod q)} (n+alpha)^(-sigma),
-    one Hurwitz zeta value at real argument.  Requires sigma > 1."""
+    one Hurwitz zeta value at real argument, zeta(sigma, (n0+alpha)/q) with
+    n0 the first class member past N; `upper` is that value's (value, bound)
+    when the caller already holds it (class_cut).  Requires sigma > 1."""
     if float(sigma) <= 1:
         raise DivergesAtOne("absolute tail diverges for sigma <= 1")
     ctx, eps, precision = _tier(prof)
     q = f.period
-    n0 = r + q * ((N - r) // q + 1)  # smallest n > N with n = r (mod q)
     with precision:
         a_fr = abs_coefficient(f, r, ctx)
         if a_fr == 0:
             return ctx.mpf(0), 0.0
         sg = to_ctx(ctx, sigma)
-        val, b = _eval_hurwitz(ctx.mpc(sg), (n0 + to_ctx(ctx, alpha)) / q, prof, ctx, eps)
+        if upper is None:
+            upper = _eval_hurwitz(ctx.mpc(sg), (_first_past(N, r, q) + to_ctx(ctx, alpha)) / q,
+                                  prof, ctx, eps)
+        val, b = upper
         weight = a_fr * ctx.mpf(q) ** (-sg)
         return weight * val.real, float(weight) * b
 
 
 def class_partial_sum(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
-                      prof: PrecisionProfile = CERTIFY):
+                      prof: PrecisionProfile = CERTIFY, upper=None):
     """(value, bound) for sum_{0 <= n <= N, n = residue (mod q)} (n+alpha)^(-sigma)
-    WITHOUT the f weights, via two Hurwitz zeta evaluations."""
+    WITHOUT the f weights, via two Hurwitz zeta evaluations: zeta(sigma,
+    (residue+alpha)/q) less the upper end zeta(sigma, (n0+alpha)/q), n0 the
+    first class member past N; `upper` is the upper end's (value, bound) when
+    the caller already holds it (class_cut)."""
     q = f.period
     r = residue % q
     count = (N - r) // q + 1 if N >= r else 0
@@ -484,5 +491,30 @@ def class_partial_sum(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
         qs = ctx.mpf(q) ** (-sg)
         s = ctx.mpc(sg)
         lo, b1 = _eval_hurwitz(s, (r + a) / q, prof, ctx, eps)
-        hi, b2 = _eval_hurwitz(s, (r + q * count + a) / q, prof, ctx, eps)
+        if upper is None:
+            upper = _eval_hurwitz(s, (_first_past(N, r, q) + a) / q, prof, ctx, eps)
+        hi, b2 = upper
         return qs * (lo.real - hi.real), float(qs) * (b1 + b2)
+
+
+def class_cut(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
+              prof: PrecisionProfile = CERTIFY):
+    """(class_partial_sum, class_tail) of one residue class cut at N, each a
+    (value, bound) pair, from two Hurwitz zeta evaluations instead of three:
+    the tail's zeta(sigma, (n0+alpha)/q) is the partial sum's upper end and
+    is evaluated once.  Requires sigma > 1."""
+    q = f.period
+    r = residue % q
+    if float(sigma) <= 1:
+        raise DivergesAtOne("absolute tail diverges for sigma <= 1")
+    ctx, eps, precision = _tier(prof)
+    with precision:
+        upper = _eval_hurwitz(ctx.mpc(to_ctx(ctx, sigma)),
+                              (_first_past(N, r, q) + to_ctx(ctx, alpha)) / q, prof, ctx, eps)
+        return (class_partial_sum(f, alpha, sigma, N, r, prof, upper),
+                class_tail(f, alpha, sigma, N, r, prof, upper))
+
+
+def _first_past(N, r, q):
+    """The smallest n > N with n = r (mod q)."""
+    return r + q * ((N - r) // q + 1)

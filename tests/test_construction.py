@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import fp, mp
 
+from ghzeta import zeta
 from ghzeta.arith import FactorCache, PeriodicFunction
 from ghzeta.construction import (
     ConstructionProfile,
@@ -14,6 +15,8 @@ from ghzeta.construction import (
     ThinClass,
     Unreachable,
     _aim_private,
+    _class_sums,
+    _recompute_from_scratch,
     bohr_solve,
     run_construction,
     select_sigma,
@@ -153,6 +156,20 @@ def test_phi_assignment_write_once():
             phi.set_phase(PrimeIdealKey(17, 5), mp.expjpi(mp.mpf(1) / 3))
 
 
+def test_phi_assignment_unimodular_at_phase_precision():
+    # the tolerance follows the phase's own precision, not a fixed 1e-14
+    phi = PhiAssignment()
+    with mp.workdps(60):
+        with pytest.raises(ValueError):
+            phi.set_phase(PrimeIdealKey(19, 2), mp.mpc(1 + mp.mpf(10) ** -20, 0))
+        with pytest.raises(ValueError):
+            phi.set_phase(PrimeIdealKey(19, 3), mp.expj(1) * (1 + mp.mpf(10) ** -40))
+        phi.set_phase(PrimeIdealKey(19, 4), mp.expj(mp.mpf(2) / 7))
+    phi.set_phase(PrimeIdealKey(19, 5), cmath.exp(2j / 7))
+    with pytest.raises(ValueError):
+        phi.set_phase(PrimeIdealKey(19, 6), cmath.exp(2j / 7) * (1 + 1e-13))
+
+
 def test_aim_private_higher_prime_power():
     # private keys at exponents 1, 2 and 3, one member also carrying an
     # already-assigned phase: the placed class terms must sum to the target
@@ -256,6 +273,7 @@ def test_canonical_single_stage():
     assert stage["classes"][0]["count_A"] >= 5
     assert stage["induction_ok"]
     assert state.n_current == 10**7 + 10
+    assert report.recomputation_delta < 1e-20
 
 
 def test_ratio_check_recorded():
@@ -265,3 +283,60 @@ def test_ratio_check_recorded():
         assert cls["ratio_check"] is True
     s3, s2 = cls["free_weight_S3"], cls["locked_weight_S2"]
     assert s3 - s2 > (s3 + s2) / 100
+
+
+def test_recompute_head_is_independent_of_class_sums(monkeypatch):
+    # a fault in the incremental head route must show in the from-scratch
+    # value at any N1 (a large one included), not cancel against itself
+    original = zeta.class_partial_sum
+
+    def shifted(*args, **kwargs):
+        value, bound = original(*args, **kwargs)
+        return value + mp.mpf(10) ** -30, bound
+
+    monkeypatch.setattr(zeta, "class_partial_sum", shifted)
+    n1 = 300_000
+    profile = ConstructionProfile(theta=Fraction(1, 20), n1=n1)
+    alpha_val = ALPHA.value(profile.digits)
+    with mp.workdps(profile.digits + 10):
+        sigma = 1 + mp.mpf(2) ** -12
+        sums = _class_sums(ONE, alpha_val, sigma, n1, profile.precision())[0]
+        scratch = _recompute_from_scratch(ONE, ALPHA, alpha_val, sigma, n1, n1,
+                                          PhiAssignment(), None)
+        assert abs(mp.fsum(sums) - scratch) >= 1e-31
+
+
+@pytest.mark.parametrize("f, n1", [
+    (ONE, 2000),
+    (PeriodicFunction(2, (1, -1)), 1999),
+    (PeriodicFunction(3, (Fraction(1, 3), 0, -2)), 2000),
+    (PeriodicFunction(3, (1, -2, 3)), 1),  # class 2 has no member n <= N1
+])
+def test_closed_form_head_matches_direct_sum(f, n1):
+    q = f.period
+    alpha = ALPHA.with_q(q)
+    alpha_val = alpha.value(50)
+    with mp.workdps(60):
+        sigma = 1 + mp.mpf(2) ** -20
+        coeff = [zeta.to_ctx(mp, f.exact(b)) for b in range(q)]
+        direct = mp.fsum(coeff[n % q] * (n + alpha_val) ** -sigma for n in range(n1 + 1))
+        head = _recompute_from_scratch(f, alpha, alpha_val, sigma, n1, n1, PhiAssignment(), None)
+        assert abs(head - direct) < mp.mpf(10) ** -50
+
+
+def test_each_mp_value_evaluated_once(monkeypatch):
+    # select_sigma's tails, the first stage's class sums, each stage's
+    # induction tail and the final envelope reuse what was evaluated
+    original = zeta._eval_hurwitz
+    seen = []
+
+    def counting(s, x, prof, ctx, eps):
+        if not prof.uses_floats:
+            seen.append((s, x))
+        return original(s, x, prof, ctx, eps)
+
+    monkeypatch.setattr(zeta, "_eval_hurwitz", counting)
+    f = PeriodicFunction(2, (1, -1))
+    report, _, _ = run_construction(f, ALPHA.with_q(2), ConstructionProfile.desk(2), 2)
+    assert report.envelope_ok
+    assert seen and len(set(seen)) == len(seen)

@@ -18,6 +18,7 @@ from ghzeta.zeta import (
     PrecisionProfile,
     abs_tail,
     abs_tail_with_bound,
+    class_cut,
     class_partial_sum,
     class_tail,
     f_eval,
@@ -243,6 +244,16 @@ def test_abs_tail_divergence_monotone():
             prev = t
     with pytest.raises(DivergesAtOne):
         abs_tail(ONE, 1.0, 1.0, 0)
+
+
+def test_class_cut_is_partial_sum_and_tail():
+    f = PeriodicFunction(3, (1, -2, 0))
+    for prof in (EXPLORE, CERTIFY):
+        for N, r in ((7, 0), (7, 2), (1, 2)):
+            assert class_cut(f, 0.3, 1.5, N, r, prof) == (
+                class_partial_sum(f, 0.3, 1.5, N, r, prof), class_tail(f, 0.3, 1.5, N, r, prof))
+    with pytest.raises(DivergesAtOne):
+        class_cut(f, 0.3, 1.0, 7, 0, EXPLORE)
 
 
 def test_class_partial_sum_matches_direct():
