@@ -503,17 +503,17 @@ class PeriodicFunction:
         """|f(r)| per residue class, as floats."""
         return [abs(self(r)) for r in range(self.period)]
 
-    def converted(self, key, convert):
-        """(convert(f(0)), ..., convert(f(q-1))) from the exact values,
-        computed once per instance and `key`."""
-        table = self._converted
+    def cached(self, key, build):
+        """build(), called once per instance and `key` (say, the values
+        converted to one number type)."""
+        table = self._cached
         out = table.get(key)
         if out is None:
-            out = table[key] = tuple(convert(v) for v in self.values)
+            out = table[key] = build()
         return out
 
     @cached_property
-    def _converted(self):
+    def _cached(self):
         # per instance, so a lookup neither hashes nor compares the values
         return {}
 

@@ -136,8 +136,8 @@ def private_prime_scan(alpha: AlgebraicAlpha, w: WindowSpec, *, all_classes=Fals
     members = w.members(all_classes=all_classes)
     if not members:
         raise EmptyWindow(f"no n = {w.b} (mod {w.q}) in ({w.N}, {end}]")
-    if records is None:
-        records = window_records(alpha, w.N, M, cache)
+    if records is None:  # factor the members only, not the other classes
+        records = {n: ideal_factorize(alpha, n, cache) for n in members}
     eligible = []
     smooth = 0
     for n in members:
@@ -179,7 +179,7 @@ def smooth_set(alpha: AlgebraicAlpha, w: WindowSpec, *,
     if not members:
         raise EmptyWindow(f"no n = {w.b} (mod {w.q}) in ({w.N}, {w.end}]")
     if records is None:
-        records = window_records(alpha, w.N, M, cache)
+        records = {n: ideal_factorize(alpha, n, cache) for n in members}
     out = []
     for n in members:
         rec = records[n]

@@ -294,12 +294,12 @@ def periodic_series_evaluator(f: PeriodicFunction, alpha, prof: PrecisionProfile
 def dirichlet_l_evaluator(chi, prof: PrecisionProfile = EXPLORE):
     """s -> L(s, chi) via conductor-level Hurwitz zetas."""
     k = chi.modulus
-    table = [(r, chi(r)) for r in range(1, k + 1) if chi(r) != 0]
+    table = [(chi(r), r / k if r < k else 1.0) for r in range(1, k + 1) if chi(r) != 0]
 
     def L(s):
         total = 0j
-        for r, c in table:
-            total += c * complex(hurwitz_zeta(s, r / k if r < k else 1.0, prof).value)
+        for c, x in table:
+            total += c * complex(hurwitz_zeta(s, x, prof).value)
         return k ** (-complex(s)) * total
 
     return L

@@ -26,12 +26,12 @@ This is the classical estimate: the remainder is at most the first omitted
 term magnified by |s+2K+1|/(sigma+2K+1).  All terms are produced
 incrementally through ratios, so nothing overflows even at large |t|;
 the ratios b_{k+1}/b_k of b_k = B_2k/(2k)! come from a table built once
-per context and precision.  The order K is the first whose remainder
-bound meets both the tolerance and 1e-3 * ctx.eps * |value| (later
-orders would change no stored digit), as in Johansson, "Rigorous
-high-precision computation of the Hurwitz zeta function and its
-derivatives" (Numer. Algorithms 69, 2015); failing that, the order of
-smallest bound before the asymptotic series turns.
+per context and precision.  K is the first order whose remainder bound
+meets min(tol, 1e-3 * ctx.eps * |v0|), v0 the value before the corrections
+(fixed once per call), and 1e-3 * ctx.eps * |running value|: later orders
+change no stored digit (Johansson, "Rigorous high-precision computation of
+the Hurwitz zeta function and its derivatives", Numer. Algorithms 69,
+2015); failing that, the order of smallest bound before the series turns.
 
 Rounding: besides the arithmetic around it, each term (n+a)^(-s) is off
 by the rounding of s*log(n+a), about |s| * |log(n+a)| units of the
@@ -130,6 +130,9 @@ class EvalResult:
         return complex(self.value)
 
 
+_FP_TIER = (fp, 2.0**-50, nullcontext())
+
+
 def _tier(prof: PrecisionProfile):
     """(ctx, eps, precision) for one call: the only place the tier is chosen.
 
@@ -138,7 +141,7 @@ def _tier(prof: PrecisionProfile):
     compute in `mp`, inside `precision`, at working_digits + 10 digits,
     with eps = 10^-working_digits."""
     if prof.uses_floats:
-        return fp, 2.0**-50, nullcontext()
+        return _FP_TIER
     digits = prof.working_digits
     return mp, float(Fraction(1, 10**digits)), mp.workdps(digits + 10)
 
@@ -159,6 +162,11 @@ def to_ctx(ctx, x):
     if isinstance(x, (complex, mp.mpc)):
         return ctx.mpc(x)
     return ctx.mpf(x)
+
+
+def _to_point(ctx, s):
+    """s as a complex ctx number; a complex s is converted once."""
+    return ctx.mpc(s) if isinstance(s, complex) else ctx.mpc(to_ctx(ctx, s))
 
 
 def _em_shift(s, digits):
@@ -182,20 +190,20 @@ def _em_core(ctx, eps, s, a, tol, digits):
     the rounding of the chosen shift (`_rounding_bound`) to the remainder.
     """
     T = _em_shift(s, digits)
-    best = None
     for _ in range(_MAX_SHIFT_ESCALATIONS):
-        value, bound, magsum = _em_fixed_shift(ctx, s, a, T, tol)
-        if best is None or bound < best[1]:
-            best = (value, bound, magsum, T)
+        head, magsum = _em_head(ctx, s, a, T)
+        w = T + a
+        w_pow_neg_s = w ** (-s)
+        pole_part = w * w_pow_neg_s / (s - 1)  # w^(1-s)/(s-1)
+        magsum += abs(pole_part) + abs(w_pow_neg_s) / 2
+        value, bound, magsum = _em_corrections(
+            ctx, s, w, w_pow_neg_s, head + pole_part + w_pow_neg_s / 2, magsum, tol)
         if bound <= tol:
-            break
+            return value, bound + _rounding_bound(ctx, eps, s, a, w, magsum)
         T *= 2
-    value, bound, magsum, T = best
-    if bound > tol:
-        raise PrecisionExhausted(
-            f"remainder bound {bound:.3e} misses tolerance {tol:.3e} at s={complex(s)}"
-        )
-    return value, bound + _rounding_bound(ctx, eps, s, a, T + a, magsum)
+    raise PrecisionExhausted(
+        f"remainder bound {bound:.3e} misses tolerance {tol:.3e} at s={complex(s)}"
+    )
 
 
 def _em_head(ctx, s, a, T):
@@ -208,21 +216,12 @@ def _em_head(ctx, s, a, T):
         )
     head = ctx.mpc(0)
     magsum = ctx.mpf(0)
+    neg_s = -s
     for n in range(T):
-        term = (n + a) ** (-s)
+        term = (n + a) ** neg_s
         head += term
         magsum += abs(term)
     return head, magsum
-
-
-def _em_fixed_shift(ctx, s, a, T, tol):
-    head, magsum = _em_head(ctx, s, a, T)
-    w = T + a
-    w_pow_neg_s = w ** (-s)
-    pole_part = w * w_pow_neg_s / (s - 1)  # w^(1-s)/(s-1)
-    value = head + pole_part + w_pow_neg_s / 2
-    magsum += abs(pole_part) + abs(w_pow_neg_s) / 2
-    return _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum, tol)
 
 
 @cache
@@ -240,33 +239,38 @@ def _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum, tol, offset=0):
     """Add the correction terms to `value` (and their magnitudes to
     `magsum`); returns (value, remainder_bound, magsum).
 
-    Stops at the first order whose remainder bound is at most `tol` and
-    at most 1e-3 * ctx.eps * |offset + value|, so the orders left out
-    change no stored digit of a value whose parts are about |value|
-    (`offset` is what the caller adds `value` to afterwards).  Otherwise
-    keeps the order of smallest bound, and stops early once the
-    asymptotic series has turned (small w, very negative sigma)."""
+    Stops at the first order whose remainder bound is at most min(tol,
+    1e-3 * ctx.eps * |offset + value|), a level fixed from the value passed
+    in, and at most 1e-3 * ctx.eps * |offset + running value|: the orders
+    left out change no stored digit (`offset` is what the caller adds
+    `value` to afterwards).  Otherwise keeps the order of smallest bound,
+    stopping once the asymptotic series has turned (small w, sigma << 0)."""
     sigma = s.real
     rel = ctx.eps / 1000
+    stop = min(ctx.mpf(tol), rel * abs(offset + value))
     # t_k = b_k * (s)_{2k-1} * w^(-s-2k+1), b_k = B_{2k}/(2k)!, built by ratios:
     # t_{k+1} = t_k * [b_{k+1}/b_k] * (s+2k-1)(s+2k) / w^2
     b_1, ratios = _bernoulli_ratios(ctx, ctx.prec)
-    t_k = b_1 * s * w_pow_neg_s / w  # k = 1
+    t = b_1 * s * w_pow_neg_s / w  # k = 1
+    t_abs = abs(t)
     w2 = w * w
+    s_odd = s + 1  # s + 2k - 1
     best_value, best_bound = None, ctx.inf
-    for k, ratio in enumerate(ratios, 1):
-        value += t_k
-        magsum += abs(t_k)
-        t_next = t_k * ratio * (s + 2 * k - 1) * (s + 2 * k) / w2
-        if sigma + 2 * k + 1 > 0:
-            bound = abs(t_next) * abs(s + 2 * k + 1) / (sigma + 2 * k + 1)
-            if bound <= tol and bound <= rel * abs(offset + value):
+    for j, ratio in zip(range(3, 2 * len(ratios) + 3, 2), ratios):  # j = 2k + 1
+        value += t
+        magsum += t_abs
+        t = t * ratio * s_odd * (s + (j - 1)) / w2  # now t_{k+1}
+        t_abs = abs(t)
+        s_odd = s + j
+        if (d := sigma + j) > 0:
+            bound = t_abs * abs(s_odd) / d
+            # confirmed against the running value, which the corrections may cancel
+            if bound <= stop and bound <= rel * abs(offset + value):
                 return value, float(bound), magsum
             if bound < best_bound:
                 best_value, best_bound = value, bound
             elif bound > 4 * best_bound:
                 break  # asymptotic series turned; stop early
-        t_k = t_next
     if best_value is None:  # sigma so negative no valid bound existed
         raise PrecisionExhausted(f"no valid remainder bound for sigma={sigma}")
     return best_value, float(best_bound), magsum
@@ -308,10 +312,10 @@ def hurwitz_zeta(s, x, prof: PrecisionProfile = EXPLORE) -> EvalResult:
         raise ValueError("shift x must be positive")
     ctx, eps, precision = _tier(prof)
     with precision:
-        s = ctx.mpc(to_ctx(ctx, s))
-        if s == 1:
-            raise PoleAtOne("zeta(s, x) has its simple pole at s = 1")
+        s = _to_point(ctx, s)
         if abs(s - 1) < POLE_TOLERANCE:
+            if s == 1:
+                raise PoleAtOne("zeta(s, x) has its simple pole at s = 1")
             return EvalResult(None, float("inf"), pole_flag=True)
         return EvalResult(*_eval_hurwitz(s, to_ctx(ctx, x), prof, ctx, eps))
 
@@ -330,16 +334,14 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
         raise ValueError("alpha must lie in (0, 1]")
     ctx, eps, precision = _tier(prof)
     with precision:
-        s = ctx.mpc(to_ctx(ctx, s))
-        a = to_ctx(ctx, alpha)
+        s = _to_point(ctx, s)
         q = f.period
-        # converted once per function, context and precision
-        coeffs = f.converted((type(ctx), ctx.prec), lambda v: to_ctx(ctx, v))
-        classes = [(fr, (r + a) / q) for r, fr in enumerate(coeffs) if fr != 0]
-        res_re, res_im = f.coefficient_sum()
-        has_pole = not (res_re == 0 and res_im == 0)
+        # (f(r), |f(r)|, (r+alpha)/q) per class with f(r) != 0, once per f, tier and alpha
+        classes = f.cached((type(ctx), ctx.prec, alpha), lambda: tuple(
+            (fr, float(abs(fr)), (r + to_ctx(ctx, alpha)) / q)
+            for r, fr in enumerate(to_ctx(ctx, v) for v in f.values) if fr != 0))
         if abs(s - 1) < POLE_TOLERANCE:
-            if not has_pole:
+            if f.coefficient_sum() == (0, 0):  # the pole cancels
                 return _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof)
             if s == 1:
                 raise PoleAtOne("F(s) has a pole at s = 1 (nonzero period sum)")
@@ -347,10 +349,10 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
         sub = _shared_profile(prof, len(classes))
         total = ctx.mpc(0)
         bound = 0.0
-        for fr, shift in classes:
+        for fr, fr_abs, shift in classes:
             val, b = _eval_hurwitz(s, shift, sub, ctx, eps)
             total += fr * val
-            bound += float(abs(fr)) * b
+            bound += fr_abs * b
         qs = ctx.mpf(q) ** (-s)
         return EvalResult(qs * total, float(abs(qs)) * bound)
 
@@ -379,8 +381,7 @@ def _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof):
         bound = 0.0
         truncation = 0.0
         logs = []  # (f(r), |f(r)|, log w_r) per class
-        for frc, shift in classes:
-            fr_abs = float(abs(frc))
+        for frc, fr_abs, shift in classes:
             head, magsum = _em_head(ctx, s, shift, T)
             w = T + shift
             w_pow_neg_s = w ** (-s)
@@ -481,9 +482,8 @@ def class_partial_sum(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
     the caller already holds it (class_cut)."""
     q = f.period
     r = residue % q
-    count = (N - r) // q + 1 if N >= r else 0
     ctx, eps, precision = _tier(prof)
-    if count <= 0:
+    if N < r:  # the class has no member up to N
         return ctx.mpf(0), 0.0
     with precision:
         sg = to_ctx(ctx, sigma)

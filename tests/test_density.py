@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ghzeta import density
 from ghzeta.arith import FactorCache
 from ghzeta.density import (
     DICKMAN_REFERENCE,
@@ -137,3 +138,25 @@ def test_canonical_window_shape():
     assert w.M == 20
     rep = private_prime_scan(ALPHA, w)
     assert rep.members == 20
+
+
+@pytest.mark.parametrize("q, b", [(1, 0), (2, 1), (3, 2)])
+def test_scan_factors_members_only(monkeypatch, q, b):
+    # without records a scan factors its own class, and chooses the same
+    # keys as a scan over the whole window's records
+    w = WindowSpec(3000, Fraction(1, 50), q, b)
+    full = private_prime_scan(ALPHA, w, records=window_records(ALPHA.with_q(q), w.N, w.M))
+    smooth = set(smooth_set(ALPHA, w, records=window_records(ALPHA.with_q(q), w.N, w.M)))
+    factored = []
+
+    def counted(alpha, n, cache=None):
+        factored.append(n)
+        return ideal_factorize(alpha, n, cache)
+
+    monkeypatch.setattr(density, "ideal_factorize", counted)
+    rep = private_prime_scan(ALPHA, w)
+    assert sorted(factored) == w.members()
+    assert rep.eligible == full.eligible and rep.smooth_count == full.smooth_count
+    factored.clear()
+    assert set(smooth_set(ALPHA, w)) == smooth
+    assert sorted(factored) == w.members()

@@ -76,18 +76,53 @@ def test_identity_grid():
             assert abs(lhs - rhs) < 1e-10
 
 
+def _baseline_points(rng, n):
+    """n points (s, x) over the ranges the float-tier bounds were sized on:
+    sigma in [-3, 6], t = 0 or up to 60 or up to 2000, x in [0.01, 1]."""
+    points = []
+    for _ in range(n):
+        t = rng.choice((0.0, rng.uniform(0, 60), rng.uniform(0, 2000)))
+        points.append((complex(rng.uniform(-3, 6), t), rng.uniform(0.01, 1)))
+    return points
+
+
 def test_error_bound_honest_against_mpmath():
     rng = random.Random(3)
-    for _ in range(40):
-        sigma = rng.uniform(-1, 3.5)
-        t = rng.uniform(0, 25)
-        x = rng.uniform(0.05, 1.0)
-        s = complex(sigma, t)
-        if abs(s - 1) < 1e-6:
-            continue
-        res = hurwitz_zeta(s, x)
-        ref = complex(mpmath.zeta(mpmath.mpc(sigma, t), x))
-        assert abs(res.value - ref) <= res.abs_error_bound + 1e-12 * abs(ref) + 1e-13
+    for prof, n in ((EXPLORE, 300), (CERTIFY, 20)):
+        for s, x in _baseline_points(rng, n):
+            res = hurwitz_zeta(s, x, prof)
+            with mp.workdps(70):
+                err = abs(mp.mpc(res.value) - mp.zeta(mp.mpc(s), mp.mpf(x)))
+                assert err <= res.abs_error_bound, (prof, s, x)
+
+
+def test_stop_level_changes_no_stored_digit(monkeypatch):
+    # the orders the stop level leaves out change no stored digit: every
+    # value matches, to 1 ulp per component, the same evaluation run to its
+    # last valid order (a zero stop level), here and at cancelled poles
+    classes = [PeriodicFunction(2, (1, -1)), PeriodicFunction(3, (1, 1, -2)),
+               PeriodicFunction(4, (THIRD, -1, 2, -THIRD - 1))]
+    # on the real axis at sigma < -1.8 the corrections can cancel most of the
+    # value before them, so a level fixed from that value alone stops early
+    cancelling = [(-2.08992547722826, 0.01750254431989895),
+                  (-2.3924915321152325, 0.09062658490216376),
+                  (-2.940811743756549, 0.731477436442133),
+                  (-2.87060600025038, 0.814264052247472)]
+
+    def values():
+        points = _baseline_points(random.Random(17), 200) + cancelling
+        out = [hurwitz_zeta(s, x).value for s, x in points]
+        for s in (1, 1 + 1e-13j, 1 + 4e-13, 1 - 3e-13j):
+            out += [f_eval(s, f, alpha).value for f in classes for alpha in (1, 0.3)]
+        return out
+
+    stopped = values()
+    corrections = zeta._em_corrections
+    monkeypatch.setattr(zeta, "_em_corrections",
+                        lambda *args, offset=0: corrections(*args[:6], 0.0, offset=offset))
+    for got, full in zip(stopped, values(), strict=True):
+        for a, b in ((got.real, full.real), (got.imag, full.imag)):
+            assert abs(a - b) <= math.ulp(b), (got, full)
 
 
 def test_high_precision_tier():
