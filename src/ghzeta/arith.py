@@ -34,6 +34,7 @@ def _sieve(limit):
 
 
 SMALL_PRIMES = _sieve(_SMALL_PRIME_LIMIT)
+_SMALL_PRIMORIAL = math.prod(SMALL_PRIMES)
 
 # Miller-Rabin with the first k prime bases is a proven primality test below
 # psi_k, the least odd composite that is a strong pseudoprime to all of them
@@ -163,15 +164,24 @@ def factorize(n: int, cache: "FactorCache | None" = None) -> Factorization:
             return hit
     m = n
     out = {}
+    # the small primes dividing n are those of g; trial-divide g only
+    g = math.gcd(m, _SMALL_PRIMORIAL)
     for p in SMALL_PRIMES:
-        if p * p > m:
-            # no prime below p divides m, so m is 1 or a prime
-            if m > 1:
-                out[m] = 1
+        if g == 1:
             break
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
+        if p * p > g:
+            p = g  # no prime below p divides g, so g is a prime
+        if g % p == 0:
+            g //= p
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out[p] = e
+    if m < _SMALL_PRIME_LIMIT**2:
+        # no prime below the limit divides m, so m is 1 or a prime
+        if m > 1:
+            out[m] = 1
     else:
         _factor_into(m, out)
     result = Factorization(n, tuple(sorted(out.items())))

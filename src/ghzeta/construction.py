@@ -113,12 +113,19 @@ def bohr_solve(radii, target, ctx=fp):
     annulus max(0, 2 max r - sum r) <= |z| <= sum r.  Links are placed
     longest first: each link turns just far enough that the residual
     target stays reachable for the remaining links, and the final two
-    links close the triangle exactly.  A link turns the direction w/|w| of
-    the residual w by the angle whose cosine c the law of cosines gives,
-    u = (w/|w|)(c + i sqrt(1 - c^2)), so no angle is ever formed.  One
-    sort, then a linear sweep: the remaining links are a suffix of the
-    sorted radii, so their longest is the next radius and their sum is
-    read from suffix sums built once.  O(k log k), deterministic.
+    links close the triangle exactly.  The residual is carried as a real
+    modulus |w| and a unit direction d.  A link whose residual distance
+    rho is | |w| - r | lies on the residual's line: u = d exactly, and d
+    flips when r > |w|, in real arithmetic.  Only a link that must turn
+    (rho above | |w| - r |, to stay outside the remaining inner radius)
+    and the closing pair take the cosine c the law of cosines gives,
+    u = d (c + i sqrt(1 - c^2)), so no angle is ever formed.  Collinear
+    phases are therefore exact at working precision; where a cosine is
+    near +-1, sqrt(1 - c^2) turns its rounding into about half as many
+    correct digits.  One sort, then a linear sweep: the remaining links
+    are a suffix of the sorted radii, so their longest is the next radius
+    and their sum is read from suffix sums built once.  O(k log k),
+    deterministic.
     """
     if not radii:
         raise ValueError("need at least one radius")
@@ -151,45 +158,56 @@ def bohr_solve(radii, target, ctx=fp):
 
     units = [None] * k
 
-    def unit(w):
-        a = abs(w)
-        return w / a if a != 0 else ctx.mpc(1)
-
-    def link(w, aw, r, rho):
-        # the unit u with |w - r u| = rho, turned counterclockwise from w
+    def turn(aw, r, rho):
+        # the rotation e of d with |aw - r e| = rho, counterclockwise
         c = (aw * aw + r * r - rho * rho) / (2 * aw * r)
         c = max(-1, min(1, c))
-        return (w / aw) * ctx.mpc(c, ctx.sqrt(1 - c * c))
+        return ctx.mpc(c, ctx.sqrt(1 - c * c))
 
-    w = z
+    # the residual w = aw * d, with d a unit (1 for a zero target)
+    aw = abs(z)
+    d = z / aw if aw != 0 else ctx.mpc(1)
     for i in range(k - 2):
         r = sorted_r[i]
         R = suffix[i + 1]
         inner_rest = max(0 * R, 2 * sorted_r[i + 1] - R)
-        aw = abs(w)
-        lo = max(inner_rest, abs(aw - r))
-        hi = min(R, aw + r)
-        rho = lo if lo <= hi else (lo + hi) / 2  # lo <= hi always holds here
-        u = ctx.mpc(1) if aw == 0 else link(w, aw, r, rho)
-        units[i] = u
-        w = w - r * u
+        gap = abs(aw - r)
+        if gap >= inner_rest:
+            # on the residual's line, w - r d = (aw - r) d; a gap past the
+            # remaining reach R by rounding lands here too, as its cosine
+            # would clamp to 1 (gap >= r > 0 when aw is 0)
+            units[i] = d
+            if r > aw:
+                d = -d
+            aw = gap
+        else:
+            hi = min(R, aw + r)
+            # inner_rest <= hi always holds here
+            rho = inner_rest if inner_rest <= hi else (inner_rest + hi) / 2
+            e = turn(aw, r, rho)
+            units[i] = d * e
+            v = aw - r * e  # w - r u = d v
+            aw = abs(v)
+            if aw != 0:
+                d = d * (v / aw)
 
     if k == 1:
-        r = sorted_r[0]
-        if abs(abs(z) - r) > tol:
+        if abs(aw - sorted_r[0]) > tol:
             raise Unreachable("single link cannot reach the target")
-        units[0] = unit(z)
+        units[0] = d
     else:
         ra, rb = sorted_r[k - 2], sorted_r[k - 1]
-        aw = abs(w)
         if aw == 0:
             # closes only when the last two links cancel
             if abs(ra - rb) > tol:
                 raise Unreachable("zero residual with unequal closing links")
             ua, ub = ctx.mpc(1), ctx.mpc(-1)
         else:
-            ua = link(w, aw, ra, rb)
-            ub = unit(w - ra * ua)
+            e = turn(aw, ra, rb)
+            ua = d * e
+            v = aw - ra * e
+            av = abs(v)
+            ub = d * (v / av) if av != 0 else ctx.mpc(1)
         units[k - 2], units[k - 1] = ua, ub
 
     out = [None] * k
@@ -212,11 +230,14 @@ class PhiAssignment:
     Unassigned keys (and the residual ideal part) act as phase 1, so only
     informative phases are materialized; `ensure_one` pins a key to the
     default explicitly and is idempotent, while `set_phase` never allows a
-    second write.
+    second write.  Whether a phase is trivial (exactly 1) is decided once,
+    when it is written: only nontrivial phases enter `nontrivial`, and
+    readers never compare a phase with 1.
     """
 
     def __init__(self):
         self._table = {}
+        self.nontrivial = {}  # the keys whose phase is not exactly 1
 
     def set_phase(self, key, phase):
         """Record `phase` for `key`, checked unimodular to the precision it
@@ -228,13 +249,17 @@ class PhiAssignment:
         if abs(abs(phase) - 1) > _UNIT_ULPS * eps:
             raise ValueError(f"phase for {key} is not unimodular")
         self._table[key] = phase
+        if phase != 1:
+            self.nontrivial[key] = phase
 
     def ensure_one(self, key):
+        """Pin `key` to phase 1; True when the key was not assigned yet."""
+        if key in self.nontrivial:
+            raise RuntimeError(f"{key} already carries a nontrivial phase")
         if key in self._table:
-            if self._table[key] != 1:
-                raise RuntimeError(f"{key} already carries a nontrivial phase")
-            return
+            return False
         self._table[key] = 1
+        return True
 
     def get(self, key, default=1):
         return self._table.get(key, default)
@@ -244,8 +269,8 @@ class PhiAssignment:
         phases to their exponents; residual part contributes 1."""
         total = 1
         for key, e in record.admissible_part:
-            ph = self._table.get(key, 1)
-            if ph != 1:
+            ph = self.nontrivial.get(key)
+            if ph is not None:
                 total = total * ph**e
         return total
 
@@ -253,7 +278,7 @@ class PhiAssignment:
         return sorted(self._table.items(), key=lambda kv: (kv[0].p, kv[0].root))
 
     def nontrivial_count(self):
-        return sum(1 for v in self._table.values() if v != 1)
+        return len(self.nontrivial)
 
     def __len__(self):
         return len(self._table)
@@ -262,7 +287,7 @@ class PhiAssignment:
         rows = []
         with mp.workdps(digits + 10):
             for key, ph in self.items():
-                if ph == 1:
+                if key not in self.nontrivial:
                     rows.append((key.p, key.root, "1", "0"))
                 else:
                     z = mp.mpc(ph)
@@ -429,10 +454,8 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
     new_defaults = 0
     for n in sorted(records):
         for key, _ in records[n].admissible_part:
-            if key not in private_keys and state.phi.get(key) == 1:
-                before = len(state.phi)
-                state.phi.ensure_one(key)
-                new_defaults += len(state.phi) - before
+            if key not in private_keys and key not in state.phi.nontrivial:
+                new_defaults += state.phi.ensure_one(key)
 
     with mp.workdps(digits + 10):
         sigma = state.sigma
@@ -537,8 +560,8 @@ def _aim_private(state, fb, eligible, window_records, members_a, target, weight)
             if k2 == key:
                 e_key = e
                 continue
-            ph = state.phi.get(k2)
-            if ph != 1:
+            ph = state.phi.nontrivial.get(k2)
+            if ph is not None:
                 u = u * ph**e
         radii.append(fb_abs * weight[n])
         fixed_units.append(fb_unit * u)

@@ -116,6 +116,53 @@ def test_factorize_past_the_small_primes(n):
     assert factorize(n).factors == trial_division(n)
 
 
+PRIMES_BELOW_5000 = [p for p in range(2, 5000) if trial_division(p) == ((p, 1),)]
+
+
+def small_prime_trial_division(n):
+    """Reference for factorize's small-prime stage: divide by every prime
+    below 5000 in turn; a cofactor below 5000^2 is then 1 or a prime, and
+    a larger one goes to the shared Pollard-rho splitter."""
+    out = {}
+    for p in PRIMES_BELOW_5000:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n >= 5000**2:
+        arith._factor_into(n, out)
+    elif n > 1:
+        out[n] = 1
+    return tuple(sorted(out.items()))
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_factorize_small_primes_by_one_gcd():
+    primes = PRIMES_BELOW_5000
+    near_2_127 = [2**127 + k for k in (-1, 0, 1)] + [
+        s * next_prime(2**127 // s) for s in (2, 210, 4999, 4993 * 4999, 2**20 * 3**5)
+    ]
+    corpus = [1, 4999 * 5003, 5003**2, 2**60, *primes, *(p * p for p in primes), *near_2_127]
+    rng = random.Random(669)
+    for _ in range(1500):
+        small = 1
+        for _ in range(rng.randrange(0, 6)):
+            small *= rng.choice(primes) ** rng.randint(1, 3)
+        large = rng.choice([1, next_prime(rng.randrange(5000, 10**6)),
+                            next_prime(rng.randrange(2**40, 2**64)), rng.randrange(1, 10**12)])
+        if small * large < 2**128:
+            corpus.append(small * large)
+    for n in corpus:
+        assert factorize(n).factors == small_prime_trial_division(n), n
+    for n in corpus:  # the reference itself, where full trial division is cheap
+        if n < 10**8:
+            assert small_prime_trial_division(n) == trial_division(n), n
+
+
 def test_factorize_trusts_trial_division(monkeypatch):
     # once p^2 exceeds the cofactor, the cofactor is prime: no primality test
     calls = []

@@ -125,6 +125,57 @@ def test_bohr_units_unimodular(where):
         assert max(abs(abs(u) - 1) for u in units) < mp.mpf(10) ** -50
 
 
+@pytest.mark.parametrize("where", ["inside", "outer", "inner"])
+def test_bohr_desk_window_links_exactly_collinear(where):
+    # every link but the closing pair lies on the target's line, so it is
+    # +-z/|z| at working precision, not tilted by a cosine rounded near 1
+    # (a zero target has no line; its last free link must turn)
+    with mp.workdps(60):
+        radii, z, _ = desk_window_linkage(where)
+        units = bohr_solve(radii, z, ctx=mp)
+        d = z / abs(z)
+        order = sorted(range(len(radii)), key=lambda i: (-radii[i], i))
+        tilt = max(min(abs(units[i] - d), abs(units[i] + d)) for i in order[:-2])
+    assert tilt < mp.mpf(10) ** -50
+
+
+def turning_linkages():
+    """(radii, target) pairs whose links must turn: [5, 4, 1] -> 5, and a
+    seeded family in which each link outweighs all shorter ones, so the
+    remaining inner radius is positive at every link."""
+    yield [5, 4, 1], 5
+    rng = random.Random(514)
+    for _ in range(40):
+        radii = [rng.uniform(1, 2)]
+        for _ in range(rng.randrange(2, 9)):
+            radii.append(radii[-1] * rng.uniform(0.2, 0.45))
+        rng.shuffle(radii)
+        total = sum(radii)
+        inner = 2 * max(radii) - total
+        mag = rng.uniform(inner, total)
+        yield radii, mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+
+@pytest.mark.parametrize("ctx", [mp, fp], ids=["mp", "fp"])
+def test_bohr_turning_links(ctx):
+    turned = []  # per linkage, the links before the closing pair that turn
+    with mp.workdps(60):
+        eps = mp.mpf(10) ** -50 if ctx is mp else 1e-12
+        for radii, z in turning_linkages():
+            units = bohr_solve(radii, z, ctx=ctx)
+            reached = mp.fsum(r * mp.mpc(u) for r, u in zip(radii, units))
+            assert abs(reached - z) < eps * sum(radii)
+            assert max(abs(abs(mp.mpc(u)) - 1) for u in units) < eps
+            w, turns = mp.mpc(z), 0
+            for i in sorted(range(len(radii)), key=lambda i: -radii[i])[:-2]:
+                u, d = mp.mpc(units[i]), w / abs(w)
+                turns += min(abs(u - d), abs(u + d)) > 1e-6
+                w -= radii[i] * u
+            turned.append(turns)
+    assert turned[0] == 1  # [5, 4, 1] -> 5 turns its first link
+    assert sum(t > 0 for t in turned) >= 30
+
+
 def test_profile_consistency_guard():
     ConstructionProfile.desk(1)
     ConstructionProfile.canonical(2)
@@ -154,6 +205,27 @@ def test_phi_assignment_write_once():
         phi.set_phase(PrimeIdealKey(17, 5), mp.expjpi(mp.mpf(1) / 3))
         with pytest.raises(RuntimeError):
             phi.set_phase(PrimeIdealKey(17, 5), mp.expjpi(mp.mpf(1) / 3))
+
+
+def test_phi_assignment_exact_one_is_trivial_everywhere():
+    # triviality is decided when a phase is written: an mpc exactly 1 is 1
+    phi = PhiAssignment()
+    one, other = PrimeIdealKey(23, 3), PrimeIdealKey(29, 4)
+    with mp.workdps(60):
+        phi.set_phase(one, mp.mpc(1))
+        phi.set_phase(other, mp.expj(mp.mpf("0.3")))
+        assert phi.nontrivial_count() == 1
+        assert phi.ensure_one(one) is False  # already pinned, and trivially
+        assert phi.ensure_one(PrimeIdealKey(31, 7)) is True
+        rec = IdealFactorizationRecord(1, ((one, 2),), 1)
+        assert type(phi.phase_of_record(rec)) is int  # nothing multiplied in
+        rec = IdealFactorizationRecord(1, ((one, 1), (other, 2)), 1)
+        assert phi.phase_of_record(rec) == phi.get(other) ** 2
+        rows = {(p, r): (re, im) for p, r, re, im in phi.log_rows(50)}
+        assert rows[(23, 3)] == ("1", "0")
+        assert rows[(29, 4)] != ("1", "0")
+    with pytest.raises(RuntimeError):
+        phi.ensure_one(other)
 
 
 def test_phi_assignment_unimodular_at_phase_precision():
