@@ -269,8 +269,12 @@ def _write_csv(path, header, rows):
     write_atomic(path, buf.getvalue().encode())
 
 
+def _cache_path(args):
+    return args.cache or os.environ.get("HURWITZ_CACHE")
+
+
 def _cache_from(args):
-    path = args.cache or os.environ.get("HURWITZ_CACHE")
+    path = _cache_path(args)
     return FactorCache(path) if path else FactorCache()
 
 
@@ -479,7 +483,9 @@ def cmd_construct_phi(args, seed):
         profile = dataclasses.replace(profile, n1=args.n1 or profile.n1,
                                       digits=args.digits or profile.digits)
     f = _parse_f(args) if args.f else PeriodicFunction(q, tuple([1] * q))
-    cache = _cache_from(args)
+    # a run factors each window norm once, so only a cache file is ever read back
+    path = _cache_path(args)
+    cache = FactorCache(path) if path else None
     report, state, log_rows = run_construction(f, alpha, profile, args.stages, cache)
     if args.phi_csv:
         _write_csv(args.phi_csv, ("p", "root", "phase_re", "phase_im"), log_rows)

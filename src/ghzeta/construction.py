@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import fp, mp
+from mpmath.libmp import fnone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_mul
 
 from .arith import FactorCache, PeriodicFunction
 from .density import WindowSpec, private_prime_scan, window_records
-from .ideals import AlgebraicAlpha, ideal_factorize
+from .ideals import AlgebraicAlpha
 from .zeta import (
     PrecisionExhausted,
     PrecisionProfile,
@@ -241,12 +242,20 @@ class PhiAssignment:
 
     def set_phase(self, key, phase):
         """Record `phase` for `key`, checked unimodular to the precision it
-        carries: to _UNIT_ULPS units of mp.eps (the caller's working
-        precision) for an mpmath number, of the float epsilon otherwise."""
+        carries: |re^2 + im^2 - 1| <= 2 _UNIT_ULPS eps (|z|^2 - 1 is about
+        twice |z| - 1), with eps = mp.eps (the caller's working precision)
+        for an mpmath number, summed exactly without a square root, and the
+        float epsilon otherwise."""
         if key in self._table:
             raise RuntimeError(f"phase for {key} already assigned (write-once)")
-        eps = mp.eps if isinstance(phase, (mp.mpf, mp.mpc)) else fp.eps
-        if abs(abs(phase) - 1) > _UNIT_ULPS * eps:
+        if isinstance(phase, (mp.mpf, mp.mpc)):
+            re, im = phase._mpc_ if isinstance(phase, mp.mpc) else (phase._mpf_, fzero)
+            excess = mpf_add(mpf_add(mpf_mul(re, re), mpf_mul(im, im)), fnone)
+            off = mpf_cmp(mpf_abs(excess), (2 * _UNIT_ULPS * mp.eps)._mpf_) > 0
+        else:
+            z = complex(phase)
+            off = abs(z.real * z.real + z.imag * z.imag - 1) > 2 * _UNIT_ULPS * fp.eps
+        if off:
             raise ValueError(f"phase for {key} is not unimodular")
         self._table[key] = phase
         if phase != 1:
@@ -384,6 +393,10 @@ class StageState:
     phi: PhiAssignment
     # (value, bound) of sum_{n > N_j} |f(n)| (n+alpha)^-sigma, once known
     tail: tuple | None = None
+    # run-level memo n -> (ideal factorization record, (n+alpha)^-sigma) of
+    # every window member so far, shared from stage to stage like phi and
+    # consumed by the from-scratch check
+    members: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -460,8 +473,10 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
     with mp.workdps(digits + 10):
         sigma = state.sigma
         a_val = state.alpha_val
-        # (n+alpha)^-sigma once per member; every use below reads it
-        weight = {n: (n + a_val) ** (-sigma) for n in records}
+        # (n+alpha)^-sigma once per member; every use below, and the
+        # from-scratch check, reads it
+        weight = _member_weights(records, a_val, sigma)
+        state.members.update((n, (records[n], weight[n])) for n in records)
         c = to_ctx(mp, profile.contraction)
         new_sums = list(state.class_sums)
         tail, tail_bound = mp.mpf(0), 0.0  # abs tail past n_next, summed over the classes
@@ -533,13 +548,18 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
         induction_ok = bool(lhs + tol < rhs)
 
     new_state = StageState(state.j + 1, n_next, state.sigma, state.alpha_val,
-                           new_sums, state.phi, (tail, tail_bound))
+                           new_sums, state.phi, (tail, tail_bound), state.members)
     report = StageReport(
         state.j, n_j, m_j, n_next, reports,
         float(lhs), float(rhs), induction_ok,
         new_private=len(private_keys), new_default=new_defaults,
     )
     return new_state, report
+
+
+def _member_weights(records, a_val, sigma):
+    """(n+alpha)^-sigma for every window member n, at the working precision."""
+    return {n: (n + a_val) ** (-sigma) for n in records}
 
 
 def _aim_private(state, fb, eligible, window_records, members_a, target, weight):
@@ -641,8 +661,8 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
 
     with mp.workdps(digits + 10):
         incremental = mp.fsum(state.class_sums)
-        scratch = _recompute_from_scratch(f, alpha, alpha_val, sigma, profile.n1,
-                                          state.n_current, phi, cache)
+        scratch = _recompute_from_scratch(f, alpha_val, sigma, profile.n1,
+                                          state.n_current, phi, state.members)
         delta = float(abs(incremental - scratch))
         tail, tail_b = state.tail  # the last stage's tail past state.n_current
         envelope = float(abs(incremental)) < float(profile.contraction) * float(tail - tail_b)
@@ -664,33 +684,56 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
     return report, state, phi.log_rows(digits)
 
 
-def _recompute_from_scratch(f, alpha, alpha_val, sigma, n1, n_top, phi, cache):
-    """Independent re-evaluation of sum_{n <= n_top} f(n) phi(n) (n+alpha)^-sigma.
+def _recompute_from_scratch(f, alpha_val, sigma, n1, n_top, phi, members):
+    """Re-evaluation of sum_{n <= n_top} f(n) phi(n) (n+alpha)^-sigma as
 
-    On the head n <= N1 the twist is provably 1: a private prime assigned
-    in any stage exceeds its window member m, so its residue class meets
-    [0, p) only at m > N1, and every other assigned phase defaults to 1.
-    The head is therefore summed in closed form by mpmath's own Hurwitz
-    zeta, not ghzeta's Euler-Maclaurin, at every N1:
+        Q(n_top) + sum_{n1 < n <= n_top} f(n) (phi(n) - 1) w(n),
+
+    Q(n_top) = sum_{n <= n_top} f(n) (n+alpha)^-sigma in closed form by
+    mpmath's own Hurwitz zeta, not ghzeta's Euler-Maclaurin:
     q^-sigma sum_b f(b) [zeta(sigma, x_b) - zeta(sigma, x_b + count_b)],
-    x_b = (b+alpha)/q, count_b the class members n <= N1.  Each zeta is
+    x_b = (b+alpha)/q, count_b the class members n <= n_top.  Each zeta is
     about 1/(sigma-1) and the difference cancels that much, so it runs
-    with log10(1/(sigma-1)) guard digits.  Window terms always rebuild
-    phi(n) from their own factorization."""
+    with log10(1/(sigma-1)) guard digits.
+
+    On the head n <= n1 the twist is provably 1: a private prime assigned
+    in any stage exceeds its window member m, so its residue class meets
+    [0, p) only at m > n1, and every other assigned phase defaults to 1.
+    Past n1, `members` maps each window member n to its (factorization
+    record, w(n)), the weight the stages summed; phi(n) is re-read from
+    the final assignment, and a member with phi(n) = 1 adds no term.  The
+    incremental sum carries each w(n) with phi(n) and the correction with
+    phi(n) - 1, so their difference compares the plain sum of the stage
+    weights with mpmath's zeta: a faulty weight still shows.
+
+    `members` is consumed; a missing member, a record of another n or a
+    member outside (n1, n_top] raises ValueError."""
     q = f.period
     coeff = [to_ctx(mp, f.exact(b)) for b in range(q)]
     with mp.extradps(max(0, int(-mp.log10(sigma - 1))) + 1):
-        head = mp.mpc(0)
-        for b in range(min(q, n1 + 1)):
+        closed = mp.mpc(0)
+        for b in range(min(q, n_top + 1)):
             if coeff[b] != 0:
                 x = (b + alpha_val) / q
-                head += coeff[b] * (mp.zeta(sigma, x) - mp.zeta(sigma, x + (n1 - b) // q + 1))
-        head *= mp.mpf(q) ** (-sigma)
-    terms = [head]
+                closed += coeff[b] * (mp.zeta(sigma, x) - mp.zeta(sigma, x + (n_top - b) // q + 1))
+        closed *= mp.mpf(q) ** (-sigma)
+    terms = [closed]
     for n in range(n1 + 1, n_top + 1):
-        if coeff[n % q] == 0:
+        entry = members.pop(n, None)
+        if entry is None:
+            raise ValueError(f"from-scratch check: window member n = {n} has no stage record")
+        rec, w = entry
+        if rec.n != n:
+            raise ValueError(f"from-scratch check: the record of n = {n} factors n = {rec.n}")
+        c = coeff[n % q]
+        if c == 0:
             continue
-        rec = ideal_factorize(alpha, n, cache)
         phi_n = phi.phase_of_record(rec)
-        terms.append(coeff[n % q] * phi_n * (n + alpha_val) ** (-sigma))
+        if phi_n != 1:
+            terms.append(c * (phi_n - 1) * w)
+    if members:
+        raise ValueError(
+            f"from-scratch check: {len(members)} stage record(s) outside ({n1}, {n_top}], "
+            f"first n = {min(members)}"
+        )
     return mp.fsum(terms)

@@ -245,7 +245,7 @@ def build_criterion5():
             z = mp.mpc(mp.mpf(re_s), mp.mpf(im_s))
             if abs(abs(z) - 1) > 1e-14:
                 unimodular_ok = False
-    recomputation_ok = run_report.recomputation_delta < 1e-20
+    recomputation_ok = run_report.recomputation_delta < 1e-40
 
     # canonical-profile single-stage window measurement
     w = WindowSpec(10**7, Fraction(1, 10**6), 1, 0)

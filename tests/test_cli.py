@@ -11,6 +11,7 @@ import pytest
 
 import ghzeta
 from ghzeta.cli import SCHEMA_VERSION, main
+from ghzeta.ideals import fixtures, norm_value
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -548,6 +549,28 @@ def test_construct_phi_canonical_single_stage(tmp_path):
     assert code == 0
     stage = payload["results"]["stages"][0]
     assert stage["M_j"] == 10 and stage["induction_ok"]
+
+
+def test_construct_phi_cache_file_round_trip(tmp_path, monkeypatch):
+    # without a cache file construct-phi keeps no factor cache; with one it
+    # writes one line per distinct window norm, and a run that reads the
+    # file back writes the same report
+    monkeypatch.delenv("HURWITZ_CACHE", raising=False)
+    cache = tmp_path / "cache.csv"
+    args = ["construct-phi", "--minpoly", "1,2,-1", "--interval", "0.4,0.5",
+            "--q", "1", "--profile", "desk", "--stages", "1", "--n1", "1000",
+            "--cache", str(cache)]
+    code, cold = run_cli(args, tmp_path, "cold.json")
+    assert code == 0
+    lines = cache.read_text().splitlines()
+    alpha = fixtures()
+    assert len(lines) == len({norm_value(alpha, n) for n in range(1001, 1051)})
+    code, warm = run_cli(args, tmp_path, "warm.json")
+    assert code == 0
+    assert cache.read_text().splitlines() == lines
+    assert canonical(warm) == canonical(cold)
+    code, plain = run_cli(args[:-2], tmp_path, "plain.json")
+    assert code == 0 and canonical(plain) == canonical(cold)
 
 
 def test_cache_env_and_flag(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import fp, mp
 
-from ghzeta import zeta
+from ghzeta import construction, zeta
 from ghzeta.arith import FactorCache, PeriodicFunction
 from ghzeta.construction import (
     ConstructionProfile,
@@ -22,7 +22,13 @@ from ghzeta.construction import (
     select_sigma,
     stage_advance,
 )
-from ghzeta.ideals import AlgebraicAlpha, IdealFactorizationRecord, PrimeIdealKey, fixtures
+from ghzeta.ideals import (
+    AlgebraicAlpha,
+    IdealFactorizationRecord,
+    PrimeIdealKey,
+    fixtures,
+    ideal_factorize,
+)
 
 ALPHA = fixtures()
 ONE = PeriodicFunction.constant_one()
@@ -242,6 +248,20 @@ def test_phi_assignment_unimodular_at_phase_precision():
         phi.set_phase(PrimeIdealKey(19, 6), cmath.exp(2j / 7) * (1 + 1e-13))
 
 
+@pytest.mark.parametrize("ctx", [mp, fp], ids=["mp", "fp"])
+def test_phi_assignment_unit_check_in_ulps(ctx):
+    # re^2 + im^2 - 1 is checked against 2 _UNIT_ULPS eps: a phase 8 ulps
+    # off unit passes, one 40 ulps off does not, complex or real
+    phi = PhiAssignment()
+    with mp.workdps(60):
+        eps = ctx.eps
+        for i, base in enumerate([ctx.expj(ctx.mpf(2) / 7), ctx.mpf(-1)]):
+            phi.set_phase(PrimeIdealKey(37, 2 * i), base * (1 + 8 * eps))
+            with pytest.raises(ValueError, match="not unimodular"):
+                phi.set_phase(PrimeIdealKey(37, 2 * i + 1), base * (1 + 40 * eps))
+    assert phi.nontrivial_count() == 2
+
+
 def test_aim_private_higher_prime_power():
     # private keys at exponents 1, 2 and 3, one member also carrying an
     # already-assigned phase: the placed class terms must sum to the target
@@ -312,7 +332,7 @@ def test_desk_run_two_stages():
     assert report.sigma_certificate["certified"]
     assert all(s["induction_ok"] for s in report.stages)
     assert all(c["class_bound_ok"] for s in report.stages for c in s["classes"])
-    assert report.recomputation_delta < 1e-20
+    assert report.recomputation_delta < 1e-40
     assert report.envelope_ok
     # phases all unimodular
     with mp.workdps(60):
@@ -335,7 +355,7 @@ def test_desk_run_exact_thirds():
     f = PeriodicFunction(2, (Fraction(1, 3), Fraction(2, 3)))
     report, _, _ = run_construction(f, ALPHA.with_q(2), ConstructionProfile.desk(2), 2)
     assert all(s["induction_ok"] for s in report.stages)
-    assert report.recomputation_delta < 1e-20
+    assert report.recomputation_delta < 1e-40
 
 
 def test_canonical_single_stage():
@@ -345,7 +365,7 @@ def test_canonical_single_stage():
     assert stage["classes"][0]["count_A"] >= 5
     assert stage["induction_ok"]
     assert state.n_current == 10**7 + 10
-    assert report.recomputation_delta < 1e-20
+    assert report.recomputation_delta < 1e-40
 
 
 def test_ratio_check_recorded():
@@ -373,8 +393,7 @@ def test_recompute_head_is_independent_of_class_sums(monkeypatch):
     with mp.workdps(profile.digits + 10):
         sigma = 1 + mp.mpf(2) ** -12
         sums = _class_sums(ONE, alpha_val, sigma, n1, profile.precision())[0]
-        scratch = _recompute_from_scratch(ONE, ALPHA, alpha_val, sigma, n1, n1,
-                                          PhiAssignment(), None)
+        scratch = _recompute_from_scratch(ONE, alpha_val, sigma, n1, n1, PhiAssignment(), {})
         assert abs(mp.fsum(sums) - scratch) >= 1e-31
 
 
@@ -385,15 +404,108 @@ def test_recompute_head_is_independent_of_class_sums(monkeypatch):
     (PeriodicFunction(3, (1, -2, 3)), 1),  # class 2 has no member n <= N1
 ])
 def test_closed_form_head_matches_direct_sum(f, n1):
+    # with a trivial phi every window correction is 0, so the value at any
+    # n_top is the closed form Q(n_top) alone
     q = f.period
     alpha = ALPHA.with_q(q)
     alpha_val = alpha.value(50)
     with mp.workdps(60):
         sigma = 1 + mp.mpf(2) ** -20
         coeff = [zeta.to_ctx(mp, f.exact(b)) for b in range(q)]
-        direct = mp.fsum(coeff[n % q] * (n + alpha_val) ** -sigma for n in range(n1 + 1))
-        head = _recompute_from_scratch(f, alpha, alpha_val, sigma, n1, n1, PhiAssignment(), None)
-        assert abs(head - direct) < mp.mpf(10) ** -50
+        for n_top in (n1, n1 + 1, n1 + 61):
+            direct = mp.fsum(coeff[n % q] * (n + alpha_val) ** -sigma for n in range(n_top + 1))
+            members = {n: (ideal_factorize(alpha, n), (n + alpha_val) ** -sigma)
+                       for n in range(n1 + 1, n_top + 1)}
+            value = _recompute_from_scratch(f, alpha_val, sigma, n1, n_top, PhiAssignment(), members)
+            assert abs(value - direct) < mp.mpf(10) ** -50
+            assert members == {}  # consumed
+
+
+def desk_run_with(monkeypatch, weight_fault=None, after_stage=None, stages=1):
+    """A desk q = 1 run whose stages are tampered with: `weight_fault(weight,
+    alpha, sigma)` edits each window's weights before the stage uses them,
+    and `after_stage(state)` runs on the state each stage returns."""
+    if weight_fault is not None:
+        original = construction._member_weights
+
+        def faulty(records, a_val, sigma):
+            weight = original(records, a_val, sigma)
+            weight_fault(weight, a_val, sigma)
+            return weight
+
+        monkeypatch.setattr(construction, "_member_weights", faulty)
+    if after_stage is not None:
+        advance = construction.stage_advance
+
+        def tampered(*args, **kwargs):
+            state, report = advance(*args, **kwargs)
+            after_stage(state)
+            return state, report
+
+        monkeypatch.setattr(construction, "stage_advance", tampered)
+    return run_construction(ONE, ALPHA, ConstructionProfile.desk(1), stages)[0]
+
+
+def _one_weight_at_n_plus_1(weight, a, sigma):
+    n = min(weight) + 7
+    weight[n] = (n + 1 + a) ** (-sigma)
+
+
+def _one_weight_off_by_1e_30(weight, a, sigma):
+    weight[min(weight) + 7] *= 1 + mp.mpf(10) ** -30
+
+
+def _all_weights_at_30_digits(weight, a, sigma):
+    with mp.workdps(30):
+        for n in weight:
+            weight[n] = +weight[n]
+
+
+@pytest.mark.parametrize("fault", [
+    _one_weight_at_n_plus_1, _one_weight_off_by_1e_30, _all_weights_at_30_digits,
+], ids=["at_n_plus_1", "relative_1e-30", "all_30_digits"])
+def test_recompute_catches_faulty_stage_weight(monkeypatch, fault):
+    # the stage sums and the correction terms share the faulty weights, but
+    # the closed form does not: the fault shows in the delta (30-digit
+    # weights give about 1e-33, which a 1e-20 threshold would pass)
+    report = desk_run_with(monkeypatch, weight_fault=fault)
+    assert report.recomputation_delta >= 1e-40
+
+
+def test_recompute_catches_phase_written_after_its_stage(monkeypatch):
+    # a defaulted key of a first-window member gets a phase once that
+    # window's terms are summed: the recomputation re-reads phi and differs
+    def poke(state):
+        if state.j == 2:
+            key = next(key for n, (rec, _) in sorted(state.members.items())
+                       for key, _ in rec.admissible_part if key not in state.phi.nontrivial)
+            with mp.workdps(60):  # a unit at the desk working precision
+                state.phi.nontrivial[key] = mp.expj(1)
+
+    report = desk_run_with(monkeypatch, after_stage=poke, stages=2)
+    assert report.recomputation_delta >= 1e-40
+
+
+def test_recompute_names_a_missing_member(monkeypatch):
+    def drop(state):
+        del state.members[4010]
+
+    with pytest.raises(ValueError, match="n = 4010 has no stage record"):
+        desk_run_with(monkeypatch, after_stage=drop)
+
+
+def test_recompute_rejects_foreign_and_leftover_records():
+    alpha_val = ALPHA.value(50)
+    with mp.workdps(60):
+        sigma = 1 + mp.mpf(2) ** -7
+        rec = ideal_factorize(ALPHA, 12)
+        with pytest.raises(ValueError, match="record of n = 11 factors n = 12"):
+            _recompute_from_scratch(ONE, alpha_val, sigma, 10, 11, PhiAssignment(),
+                                    {11: (rec, mp.mpf(1))})
+        with pytest.raises(ValueError, match="outside \\(10, 11\\], first n = 12"):
+            _recompute_from_scratch(ONE, alpha_val, sigma, 10, 11, PhiAssignment(),
+                                    {11: (ideal_factorize(ALPHA, 11), mp.mpf(1)),
+                                     12: (rec, mp.mpf(1))})
 
 
 def test_each_mp_value_evaluated_once(monkeypatch):
