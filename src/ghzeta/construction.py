@@ -19,16 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from mpmath import fp, mp
-from mpmath.libmp import fnone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_mul
+from mpmath.libmp import (
+    fnone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_mul, mpf_pos, round_nearest, to_str,
+)
 
 from .arith import FactorCache, PeriodicFunction
 from .density import WindowSpec, private_prime_scan, window_records
 from .ideals import AlgebraicAlpha
 from .zeta import (
+    EXPLORE,
+    POLE_TOLERANCE,
     PrecisionExhausted,
     PrecisionProfile,
+    _tier,
     abs_coefficient,
     class_cut,
     class_tail,
@@ -225,6 +231,13 @@ def bohr_solve(radii, target, ctx=fp):
 _UNIT_ULPS = 16
 
 
+@cache
+def _unit_slack(prec):
+    """2 _UNIT_ULPS mp.eps at binary precision `prec`, as a raw mpf."""
+    with mp.workprec(prec):
+        return (2 * _UNIT_ULPS * mp.eps)._mpf_
+
+
 class PhiAssignment:
     """Write-once map from prime ideal keys to unit phases.
 
@@ -251,7 +264,7 @@ class PhiAssignment:
         if isinstance(phase, (mp.mpf, mp.mpc)):
             re, im = phase._mpc_ if isinstance(phase, mp.mpc) else (phase._mpf_, fzero)
             excess = mpf_add(mpf_add(mpf_mul(re, re), mpf_mul(im, im)), fnone)
-            off = mpf_cmp(mpf_abs(excess), (2 * _UNIT_ULPS * mp.eps)._mpf_) > 0
+            off = mpf_cmp(mpf_abs(excess), _unit_slack(mp.prec)) > 0
         else:
             z = complex(phase)
             off = abs(z.real * z.real + z.imag * z.imag - 1) > 2 * _UNIT_ULPS * fp.eps
@@ -275,13 +288,16 @@ class PhiAssignment:
 
     def phase_of_record(self, record):
         """phi(n) for an ideal factorization record: product of assigned
-        phases to their exponents; residual part contributes 1."""
-        total = 1
+        phases to their exponents; residual part contributes 1 (the int 1
+        when no nontrivial phase enters)."""
+        total = None
         for key, e in record.admissible_part:
             ph = self.nontrivial.get(key)
             if ph is not None:
-                total = total * ph**e
-        return total
+                power = +ph if e == 1 else ph**e  # ph**1 rounds like +ph
+                # a first factor is 1 * power, which rounds like power itself
+                total = power if total is None else total * power
+        return 1 if total is None else total
 
     def items(self):
         return sorted(self._table.items(), key=lambda kv: (kv[0].p, kv[0].root))
@@ -293,14 +309,20 @@ class PhiAssignment:
         return len(self._table)
 
     def log_rows(self, digits=30):
+        """(p, root, re, im) per key: each part of a nontrivial phase
+        rounded to digits + 10 digits, as mp.mpc(ph) rounds it, and written
+        as mp.nstr(part, digits) writes it, by libmp's to_str (which nstr
+        calls) on the raw parts."""
         rows = []
         with mp.workdps(digits + 10):
+            prec = mp.prec
             for key, ph in self.items():
                 if key not in self.nontrivial:
                     rows.append((key.p, key.root, "1", "0"))
                 else:
-                    z = mp.mpc(ph)
-                    rows.append((key.p, key.root, mp.nstr(mp.re(z), digits), mp.nstr(mp.im(z), digits)))
+                    parts = ph._mpc_ if isinstance(ph, mp.mpc) else mp.mpc(ph)._mpc_
+                    re, im = (to_str(mpf_pos(x, prec, round_nearest), digits) for x in parts)
+                    rows.append((key.p, key.root, re, im))
         return rows
 
 
@@ -326,6 +348,11 @@ class SigmaCertificate:
         return self.head + self.head_bound < self.contraction * (self.tail - self.tail_bound)
 
 
+# a float-tier head this far past the contraction share of the tail refutes
+# a halving step: the 1% covers the screen's own float arithmetic
+_SCREEN_MARGIN = 1.01
+
+
 def select_sigma(f: PeriodicFunction, alpha, profile: ConstructionProfile) -> SigmaCertificate:
     """Smallest halving step sigma = 1 + delta/2^k whose head/tail
     inequality holds with certified bounds:
@@ -334,7 +361,18 @@ def select_sigma(f: PeriodicFunction, alpha, profile: ConstructionProfile) -> Si
             < contraction * sum_{n > N1} |f(n)| (n+alpha)^-sigma.
 
     Such a sigma exists because the right side blows up as sigma -> 1+
-    while the left side stays bounded."""
+    while the left side stays bounded.
+
+    Each step is screened at the float tier first (`_screen_refutes`) and
+    certified at the working precision only if the screen leaves it open.
+    The screen skips a step only when the float head, less its bound, is
+    at least 1.01 * contraction * (tail + its bound): the true head is then
+    at least contraction times the true tail, which no precision can
+    certify, so a skip never changes the sigma chosen or its certificate.
+    The 1% margin covers the rounding of the float sums and bounds
+    themselves.  A step whose float evaluation raises, or whose sigma - 1
+    is below POLE_TOLERANCE (too close to the pole for floats), is not
+    screened and goes to the working precision as it is."""
     n1 = profile.n1
     prec = profile.precision()
     alpha_val = alpha.value(profile.digits)
@@ -344,6 +382,8 @@ def select_sigma(f: PeriodicFunction, alpha, profile: ConstructionProfile) -> Si
             sigma = 1 + mp.mpf(profile.delta) / 2**k
             if sigma - 1 < mp.mpf(10) ** (-(profile.digits - 10)):
                 break
+            if _screen_refutes(f, alpha_val, sigma, n1, contraction):
+                continue
             sums, head, head_b, tail, tail_b = _class_sums(f, alpha_val, sigma, n1, prec)
             cert = SigmaCertificate(
                 sigma, n1, float(head), head_b, float(tail), tail_b, contraction, tuple(sums)
@@ -355,27 +395,43 @@ def select_sigma(f: PeriodicFunction, alpha, profile: ConstructionProfile) -> Si
     )
 
 
+def _screen_refutes(f, alpha_val, sigma, n1, contraction):
+    """True when _class_sums at EXPLORE puts the head, less its bound, at
+    _SCREEN_MARGIN * contraction * (tail + its bound) or above, which
+    refutes sigma (select_sigma says why); False otherwise, and without a
+    float evaluation when sigma - 1 < POLE_TOLERANCE, or when it raises."""
+    if sigma - 1 < POLE_TOLERANCE:
+        return False
+    try:
+        _, head, head_b, tail, tail_b = _class_sums(f, alpha_val, sigma, n1, EXPLORE)
+    except ArithmeticError:
+        return False
+    return head - head_b >= _SCREEN_MARGIN * contraction * (tail + tail_b)
+
+
 def _class_sums(f, alpha_val, sigma, n_top, prec):
     """(sums, head, head_bound, tail, tail_bound) at the cut n_top, from one
-    class_cut per class b with f(b) != 0, at the current working precision:
-    sums[b] = f(b) sum_{0 <= n <= n_top, n = b (mod q)} (n+alpha)^-sigma
-    (every phase there is 1), head = sum_{n <= n_top} |f(n)| (n+alpha)^-sigma
-    and tail = sum_{n > n_top} |f(n)| (n+alpha)^-sigma, each with its
-    certified bound."""
+    class_cut per class b with f(b) != 0, in the tier of `prec`
+    (zeta._tier): sums[b] = f(b) sum_{0 <= n <= n_top, n = b (mod q)}
+    (n+alpha)^-sigma (every phase there is 1), head = sum_{n <= n_top}
+    |f(n)| (n+alpha)^-sigma and tail = sum_{n > n_top} |f(n)|
+    (n+alpha)^-sigma, each with its certified bound."""
+    ctx, _, precision = _tier(prec)
     sums = []
-    head, head_bound = mp.mpf(0), 0.0
-    tail, tail_bound = mp.mpf(0), 0.0
-    for b in range(f.period):
-        w = abs_coefficient(f, b, mp)
-        if w == 0:
-            sums.append(mp.mpc(0))
-            continue
-        (val, vb), (t, tb) = class_cut(f, alpha_val, sigma, n_top, b, prec)
-        sums.append(to_ctx(mp, f.exact(b)) * val)
-        head += w * val
-        head_bound += float(w) * vb
-        tail += t
-        tail_bound += tb
+    with precision:
+        head, head_bound = ctx.mpf(0), 0.0
+        tail, tail_bound = ctx.mpf(0), 0.0
+        for b in range(f.period):
+            w = abs_coefficient(f, b, ctx)
+            if w == 0:
+                sums.append(ctx.mpc(0))
+                continue
+            (val, vb), (t, tb) = class_cut(f, alpha_val, sigma, n_top, b, prec)
+            sums.append(to_ctx(ctx, f.exact(b)) * val)
+            head += w * val
+            head_bound += float(w) * vb
+            tail += t
+            tail_bound += tb
     return sums, head, head_bound, tail, tail_bound
 
 
@@ -559,22 +615,25 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
 
 def _member_weights(records, a_val, sigma):
     """(n+alpha)^-sigma for every window member n, at the working precision."""
-    return {n: (n + a_val) ** (-sigma) for n in records}
+    neg_sigma = -sigma
+    return {n: (n + a_val) ** neg_sigma for n in records}
 
 
 def _aim_private(state, fb, eligible, window_records, members_a, target, weight):
     """Choose phases of the private primes so the class-A terms sum to the
     target; the fixed factor of each term (the class coefficient `fb` times
-    the already-assigned part of phi) is rotated out before solving."""
+    the already-assigned part of phi) is rotated out before solving, unless
+    it is exactly 1."""
     fb_abs = abs(fb)
     fb_unit = fb / fb_abs
+    fb_is_one = fb_unit == 1
     radii = []
-    fixed_units = []
+    fixed_units = []  # None for a fixed factor that is exactly 1
     exps = []
     for n in members_a:
         key = eligible[n]
         rec = window_records[n]
-        u = 1
+        u = None  # the assigned part of phi(n), None while it is 1
         e_key = 0
         for k2, e in rec.admissible_part:
             if k2 == key:
@@ -582,16 +641,19 @@ def _aim_private(state, fb, eligible, window_records, members_a, target, weight)
                 continue
             ph = state.phi.nontrivial.get(k2)
             if ph is not None:
-                u = u * ph**e
+                u = ph**e if u is None else u * ph**e
         radii.append(fb_abs * weight[n])
-        fixed_units.append(fb_unit * u)
+        if u is not None:
+            fixed_units.append(fb_unit * u)
+        else:
+            fixed_units.append(None if fb_is_one else fb_unit)
         exps.append(e_key)
     units = bohr_solve(radii, target, ctx=mp)
     for n, u, unit_fix, e_key in zip(members_a, units, fixed_units, exps):
         # the term r * unit_fix * phase^e must equal r * u: strip the fixed
         # unit, and for a higher prime power take an e-th root (any branch
         # works, the private phase is free)
-        phase = u * mp.conj(unit_fix)
+        phase = u if unit_fix is None else u * mp.conj(unit_fix)
         if e_key > 1:
             phase = mp.expj(mp.arg(phase) / e_key)
         state.phi.set_phase(eligible[n], phase)

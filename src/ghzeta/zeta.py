@@ -60,6 +60,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 from mpmath import fp, mp
 
@@ -130,20 +131,39 @@ class EvalResult:
         return complex(self.value)
 
 
-_FP_TIER = (fp, 2.0**-50, nullcontext())
+class _Rounding(NamedTuple):
+    """A tier's rounding unit `eps`, and its context's own roundoff
+    ctx.eps in units of eps (the phase rounding `_rounding_bound` counts)."""
+
+    eps: float
+    ctx_eps: float
+
+
+_FP_TIER = (fp, _Rounding(2.0**-50, float(fp.eps / 2.0**-50)), nullcontext())
+
+
+@cache
+def _mp_rounding(digits):
+    """The mp tier's _Rounding at working_digits `digits`, ctx.eps taken at
+    the digits + 10 its calls run at."""
+    eps = float(Fraction(1, 10**digits))
+    with mp.workdps(digits + 10):
+        return _Rounding(eps, float(mp.eps / eps))
 
 
 def _tier(prof: PrecisionProfile):
-    """(ctx, eps, precision) for one call: the only place the tier is chosen.
+    """(ctx, rounding, precision) for one call: the only place the tier is
+    chosen.
 
     Float profiles compute in mpmath's `fp` context (Python floats and
     complex numbers, eps = 2^-50) and change no precision; the others
     compute in `mp`, inside `precision`, at working_digits + 10 digits,
-    with eps = 10^-working_digits."""
+    with eps = 10^-working_digits.  `rounding` (a _Rounding) is built once
+    per tier and working_digits."""
     if prof.uses_floats:
         return _FP_TIER
     digits = prof.working_digits
-    return mp, float(Fraction(1, 10**digits)), mp.workdps(digits + 10)
+    return mp, _mp_rounding(digits), mp.workdps(digits + 10)
 
 
 def to_ctx(ctx, x):
@@ -178,7 +198,7 @@ def _em_shift(s, digits):
     return max(10, ceil_y, (digits + 1) // 2)
 
 
-def _em_core(ctx, eps, s, a, tol, digits):
+def _em_core(ctx, rounding, s, a, tol, digits):
     """One Euler-Maclaurin evaluation; returns (value, total_bound).
 
     `s`, `a` are ctx numbers; `a` > 0 real; the pole term w^(1-s)/(s-1) is
@@ -199,7 +219,7 @@ def _em_core(ctx, eps, s, a, tol, digits):
         value, bound, magsum = _em_corrections(
             ctx, s, w, w_pow_neg_s, head + pole_part + w_pow_neg_s / 2, magsum, tol)
         if bound <= tol:
-            return value, bound + _rounding_bound(ctx, eps, s, a, w, magsum)
+            return value, bound + _rounding_bound(rounding, s, a, w, magsum)
         T *= 2
     raise PrecisionExhausted(
         f"remainder bound {bound:.3e} misses tolerance {tol:.3e} at s={complex(s)}"
@@ -276,9 +296,9 @@ def _em_corrections(ctx, s, w, w_pow_neg_s, value, magsum, tol, offset=0):
     return best_value, float(best_bound), magsum
 
 
-def _rounding_bound(ctx, eps, s, a, w, magsum):
+def _rounding_bound(rounding, s, a, w, magsum):
     """Rounding error of terms built from (n+a)^(-s), a <= n+a <= w, whose
-    magnitudes add up to `magsum`.
+    magnitudes add up to `magsum`, in the tier's `rounding` unit.
 
     Besides the arithmetic around them (8 eps per unit of magsum), each
     term carries the rounding of its phase and modulus, s*log(n+a): about
@@ -287,18 +307,19 @@ def _rounding_bound(ctx, eps, s, a, w, magsum):
     that exceeds 8 eps once |s| log w > 8, as at large |t|; in the mp tier
     the 10 guard digits (ctx.eps < 1e-10 eps) keep it below 8 eps up to
     |s| log w of about 10^10."""
+    eps, ctx_eps = rounding
     log_span = max(abs(math.log(float(a))), math.log(float(w)))
-    phase = 4 * float(ctx.eps / eps) * float(abs(s)) * log_span
+    phase = 4 * ctx_eps * float(abs(s)) * log_span
     return eps * float(magsum) * max(8, phase)
 
 
-def _eval_hurwitz(s, x, prof, ctx, eps):
+def _eval_hurwitz(s, x, prof, ctx, rounding):
     """(value, total_bound) for zeta(s, x), x > 0 real, s != 1, at prof's
     tolerance: the one entry to an Euler-Maclaurin evaluation, which
     tracing wraps by name.  `s` (complex) and `x` are numbers of the
-    context `ctx` and `eps` that the public caller's _tier(prof) chose, at
-    the precision it set."""
-    return _em_core(ctx, eps, s, x, prof.target_tolerance, prof.working_digits)
+    context `ctx` and `rounding` that the public caller's _tier(prof) chose,
+    at the precision it set."""
+    return _em_core(ctx, rounding, s, x, prof.target_tolerance, prof.working_digits)
 
 
 def hurwitz_zeta(s, x, prof: PrecisionProfile = EXPLORE) -> EvalResult:
@@ -310,14 +331,14 @@ def hurwitz_zeta(s, x, prof: PrecisionProfile = EXPLORE) -> EvalResult:
     """
     if not float(x) > 0:
         raise ValueError("shift x must be positive")
-    ctx, eps, precision = _tier(prof)
+    ctx, rounding, precision = _tier(prof)
     with precision:
         s = _to_point(ctx, s)
         if abs(s - 1) < POLE_TOLERANCE:
             if s == 1:
                 raise PoleAtOne("zeta(s, x) has its simple pole at s = 1")
             return EvalResult(None, float("inf"), pole_flag=True)
-        return EvalResult(*_eval_hurwitz(s, to_ctx(ctx, x), prof, ctx, eps))
+        return EvalResult(*_eval_hurwitz(s, to_ctx(ctx, x), prof, ctx, rounding))
 
 
 def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> EvalResult:
@@ -332,7 +353,7 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
     """
     if not 0 < float(alpha) <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    ctx, eps, precision = _tier(prof)
+    ctx, rounding, precision = _tier(prof)
     with precision:
         s = _to_point(ctx, s)
         q = f.period
@@ -342,7 +363,7 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
             for r, fr in enumerate(to_ctx(ctx, v) for v in f.values) if fr != 0))
         if abs(s - 1) < POLE_TOLERANCE:
             if f.coefficient_sum() == (0, 0):  # the pole cancels
-                return _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof)
+                return _f_eval_near_cancelled_pole(ctx, rounding, s, q, classes, prof)
             if s == 1:
                 raise PoleAtOne("F(s) has a pole at s = 1 (nonzero period sum)")
             return EvalResult(None, float("inf"), pole_flag=True)
@@ -350,7 +371,7 @@ def f_eval(s, f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE) -> E
         total = ctx.mpc(0)
         bound = 0.0
         for fr, fr_abs, shift in classes:
-            val, b = _eval_hurwitz(s, shift, sub, ctx, eps)
+            val, b = _eval_hurwitz(s, shift, sub, ctx, rounding)
             total += fr * val
             bound += fr_abs * b
         qs = ctx.mpf(q) ** (-s)
@@ -363,7 +384,7 @@ def _shared_profile(prof, n):
     return PrecisionProfile(prof.working_digits, prof.target_tolerance / max(1, n))
 
 
-def _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof):
+def _f_eval_near_cancelled_pole(ctx, rounding, s, q, classes, prof):
     # Period sum is zero: the per-class pole parts w_r^(1-s)/(s-1) combine to
     # an analytic function; expand sum_r f(r) w_r^(1-s) around s = 1.  The
     # rest of each class is the Euler-Maclaurin sum at one shared shift T,
@@ -391,7 +412,7 @@ def _f_eval_near_cancelled_pole(ctx, eps, s, q, classes, prof):
                 ctx, s, w, w_pow_neg_s, ctx.mpc(0), magsum + abs(w_pow_neg_s) / 2,
                 share / fr_abs, offset=part)
             total += frc * (part + corr)
-            bound += fr_abs * (corr_bound + _rounding_bound(ctx, eps, s, shift, w, magsum))
+            bound += fr_abs * (corr_bound + _rounding_bound(rounding, s, shift, w, magsum))
             truncation += fr_abs * corr_bound
             logs.append((frc, fr_abs, ctx.log(w)))
         # sum_r f(r) w_r^(1-s)/(s-1) = -sum_{m>=1} u^(m-1)/m! sum_r f(r) L_r^m
@@ -458,7 +479,7 @@ def class_tail(f: PeriodicFunction, alpha, sigma, N: int, r: int,
     when the caller already holds it (class_cut).  Requires sigma > 1."""
     if float(sigma) <= 1:
         raise DivergesAtOne("absolute tail diverges for sigma <= 1")
-    ctx, eps, precision = _tier(prof)
+    ctx, rounding, precision = _tier(prof)
     q = f.period
     with precision:
         a_fr = abs_coefficient(f, r, ctx)
@@ -467,7 +488,7 @@ def class_tail(f: PeriodicFunction, alpha, sigma, N: int, r: int,
         sg = to_ctx(ctx, sigma)
         if upper is None:
             upper = _eval_hurwitz(ctx.mpc(sg), (_first_past(N, r, q) + to_ctx(ctx, alpha)) / q,
-                                  prof, ctx, eps)
+                                  prof, ctx, rounding)
         val, b = upper
         weight = a_fr * ctx.mpf(q) ** (-sg)
         return weight * val.real, float(weight) * b
@@ -482,7 +503,7 @@ def class_partial_sum(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
     the caller already holds it (class_cut)."""
     q = f.period
     r = residue % q
-    ctx, eps, precision = _tier(prof)
+    ctx, rounding, precision = _tier(prof)
     if N < r:  # the class has no member up to N
         return ctx.mpf(0), 0.0
     with precision:
@@ -490,9 +511,9 @@ def class_partial_sum(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
         a = to_ctx(ctx, alpha)
         qs = ctx.mpf(q) ** (-sg)
         s = ctx.mpc(sg)
-        lo, b1 = _eval_hurwitz(s, (r + a) / q, prof, ctx, eps)
+        lo, b1 = _eval_hurwitz(s, (r + a) / q, prof, ctx, rounding)
         if upper is None:
-            upper = _eval_hurwitz(s, (_first_past(N, r, q) + a) / q, prof, ctx, eps)
+            upper = _eval_hurwitz(s, (_first_past(N, r, q) + a) / q, prof, ctx, rounding)
         hi, b2 = upper
         return qs * (lo.real - hi.real), float(qs) * (b1 + b2)
 
@@ -507,10 +528,11 @@ def class_cut(f: PeriodicFunction, alpha, sigma, N: int, residue: int,
     r = residue % q
     if float(sigma) <= 1:
         raise DivergesAtOne("absolute tail diverges for sigma <= 1")
-    ctx, eps, precision = _tier(prof)
+    ctx, rounding, precision = _tier(prof)
     with precision:
         upper = _eval_hurwitz(ctx.mpc(to_ctx(ctx, sigma)),
-                              (_first_past(N, r, q) + to_ctx(ctx, alpha)) / q, prof, ctx, eps)
+                              (_first_past(N, r, q) + to_ctx(ctx, alpha)) / q,
+                              prof, ctx, rounding)
         return (class_partial_sum(f, alpha, sigma, N, r, prof, upper),
                 class_tail(f, alpha, sigma, N, r, prof, upper))
 

@@ -524,3 +524,225 @@ def test_each_mp_value_evaluated_once(monkeypatch):
     report, _, _ = run_construction(f, ALPHA.with_q(2), ConstructionProfile.desk(2), 2)
     assert report.envelope_ok
     assert seen and len(set(seen)) == len(seen)
+
+
+SCREEN_CASES = [
+    (ONE, ALPHA, ConstructionProfile.desk(1)),
+    (PeriodicFunction(1, (-2,)), ALPHA, ConstructionProfile.desk(1)),
+    (PeriodicFunction(2, (1, -1)), ALPHA.with_q(2), ConstructionProfile.desk(2)),
+    (PeriodicFunction(2, (complex(1, 2), -3)), ALPHA.with_q(2), ConstructionProfile.desk(2)),
+    (PeriodicFunction(3, (1, -2, 3)), ALPHA.with_q(3), ConstructionProfile.desk(3)),
+    (PeriodicFunction(3, (Fraction(1, 3), 0, complex(0, -1))), ALPHA.with_q(3),
+     ConstructionProfile.desk(3)),
+    (ONE, ALPHA, ConstructionProfile.canonical(1)),
+    (ONE, AlgebraicAlpha((1, 1, -1), (Fraction(3, 5), Fraction(7, 10))),
+     ConstructionProfile(theta=Fraction(1, 20), n1=20)),
+]
+SCREEN_IDS = ["q1", "q1_negative", "q2", "q2_complex", "q3", "q3_thirds_zero_imaginary",
+              "canonical", "golden_tiny"]
+
+
+def mp_hurwitz_counter(monkeypatch):
+    """Patch zeta._eval_hurwitz to record the (s, x) of every call at a
+    precision above the float tier; returns the list it fills."""
+    original = zeta._eval_hurwitz
+    seen = []
+
+    def counting(s, x, prof, ctx, rounding):
+        if not prof.uses_floats:
+            seen.append((s, x))
+        return original(s, x, prof, ctx, rounding)
+
+    monkeypatch.setattr(zeta, "_eval_hurwitz", counting)
+    return seen
+
+
+def assert_same_certificate(cert, ref):
+    # the dataclass compares sigma, n1, head, head_bound, tail, tail_bound
+    # and contraction; the first stage's class sums are compared apart
+    assert cert == ref
+    assert [c._mpc_ for c in cert.class_sums] == [c._mpc_ for c in ref.class_sums]
+
+
+@pytest.mark.parametrize("f, alpha, profile", SCREEN_CASES, ids=SCREEN_IDS)
+def test_select_sigma_screen_changes_no_certificate(monkeypatch, f, alpha, profile):
+    # a screen that never refutes certifies every step at full precision,
+    # as select_sigma did before the screen: the certificate is the same
+    screen = construction._screen_refutes
+    refuted = []
+
+    def recording(*args):
+        refuted.append(screen(*args))
+        return refuted[-1]
+
+    monkeypatch.setattr(construction, "_screen_refutes", recording)
+    cert = select_sigma(f, alpha, profile)
+    assert cert.certified
+    assert any(refuted) and not refuted[-1]  # it skipped steps, not the last
+    monkeypatch.setattr(construction, "_screen_refutes", lambda *args: False)
+    assert_same_certificate(cert, select_sigma(f, alpha, profile))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_select_sigma_certifies_at_full_precision_once(monkeypatch, q):
+    # in a desk run, only the step the screen leaves open runs at 60 digits
+    # in select_sigma: one class_cut, two Hurwitz values, per class
+    seen = mp_hurwitz_counter(monkeypatch)
+    select = construction.select_sigma
+    during = []
+
+    def counted(*args):
+        before = len(seen)
+        cert = select(*args)
+        during.append(len(seen) - before)
+        return cert
+
+    monkeypatch.setattr(construction, "select_sigma", counted)
+    f = PeriodicFunction(q, (1, -2, 3)[:q])
+    report, _, _ = run_construction(f, ALPHA.with_q(q), ConstructionProfile.desk(q), 2)
+    assert report.sigma_certificate["certified"]
+    assert during == [2 * q]
+    assert len(seen) == 2 * q + 2 * q  # and one class_tail per class and stage
+
+
+def test_select_sigma_float_failure_falls_through(monkeypatch):
+    # a float tier that raises screens nothing: every step reaches the
+    # working precision, and the certificate is the one it gives alone
+    f, alpha, profile = SCREEN_CASES[2]
+    original = construction._class_sums
+    with monkeypatch.context() as patch:
+        patch.setattr(construction, "_screen_refutes", lambda *args: False)
+        seen = mp_hurwitz_counter(patch)
+        ref = select_sigma(f, alpha, profile)
+        unscreened = len(seen)
+
+    def failing(f, alpha_val, sigma, n_top, prec):
+        if prec.uses_floats:
+            raise zeta.PrecisionExhausted("float tier refused")
+        return original(f, alpha_val, sigma, n_top, prec)
+
+    monkeypatch.setattr(construction, "_class_sums", failing)
+    seen = mp_hurwitz_counter(monkeypatch)
+    assert_same_certificate(select_sigma(f, alpha, profile), ref)
+    assert len(seen) == unscreened > 2 * f.period
+
+
+def test_select_sigma_near_pole_is_not_screened(monkeypatch):
+    # sigma - 1 = 5e-13 is below the float tier's pole tolerance: the step
+    # goes to the working precision even when the float tier would refute it
+    original = construction._class_sums
+    float_calls = []
+
+    def refuting(f, alpha_val, sigma, n_top, prec):
+        if prec.uses_floats:
+            float_calls.append(sigma)
+            return [], 1e300, 0.0, 0.0, 0.0
+        return original(f, alpha_val, sigma, n_top, prec)
+
+    monkeypatch.setattr(construction, "_class_sums", refuting)
+    golden = AlgebraicAlpha((1, 1, -1), (Fraction(3, 5), Fraction(7, 10)))
+    profile = ConstructionProfile(theta=Fraction(1, 20), n1=20, delta=1e-12)
+    cert = select_sigma(ONE, golden, profile)
+    assert cert.certified
+    assert float_calls == []
+    with mp.workdps(60):
+        assert cert.sigma == 1 + mp.mpf(1e-12) / 2
+    # a refuting float tier does skip a step it may screen
+    with mp.workdps(60):
+        assert construction._screen_refutes(ONE, golden.value(50), 1 + mp.mpf(2) ** -30, 20, 0.01)
+    assert len(float_calls) == 1
+
+
+def generic_phase_of_record(phi, record):
+    """phi(n) as the product 1 * ph1**e1 * ph2**e2 * ..., the reference the
+    shortcuts of PhiAssignment.phase_of_record must reproduce bit for bit."""
+    total = 1
+    for key, e in record.admissible_part:
+        ph = phi.nontrivial.get(key)
+        if ph is not None:
+            total = total * ph**e
+    return total
+
+
+@pytest.mark.parametrize("phase_dps", [60, 80], ids=["at_working", "wider"])
+def test_phase_of_record_matches_generic_product(phase_dps):
+    keys = [PrimeIdealKey(p, 3) for p in (41, 43, 47, 53, 59)]
+    phi = PhiAssignment()
+    with mp.workdps(phase_dps):
+        phases = [mp.expj(mp.mpf("0.3")), mp.expj(mp.mpf(-2) / 7), mp.mpc(-1), mp.mpc(0, 1)]
+    with mp.workdps(60):
+        for key, ph in zip(keys, phases):
+            phi._table[key] = phi.nontrivial[key] = ph  # as stored, not re-checked
+        trivial = keys[4]
+        phi.ensure_one(trivial)
+        parts = [
+            ((keys[0], 1),),  # one key, e = 1
+            ((keys[1], 1), (trivial, 1)),  # one key among trivial ones
+            ((keys[0], 1), (keys[1], 1)),  # two keys
+            ((keys[1], 2),),  # e = 2
+            ((keys[0], 3), (keys[1], 1)),
+            ((keys[2], 1),), ((keys[3], 1),), ((keys[3], 2), (keys[2], 1)),  # -1 and i
+        ]
+        for part in parts:
+            rec = IdealFactorizationRecord(1, part, 1)
+            got, ref = phi.phase_of_record(rec), generic_phase_of_record(phi, rec)
+            assert got._mpc_ == ref._mpc_, part
+        rec = IdealFactorizationRecord(1, ((trivial, 1),), 1)
+        assert phi.phase_of_record(rec) == 1 and type(phi.phase_of_record(rec)) is int
+
+
+def double_rounding_phase(digits):
+    """A unit phase at digits + 30 digits whose real part mp.nstr writes
+    differently once it is rounded to digits + 10 digits first, as
+    mp.mpc(ph) rounds it: a part just below where nstr(., digits) steps,
+    found by bisection, that rounds to past that step."""
+    for k in range(100):
+        with mp.workdps(digits + 30):
+            ulp = mp.mpf(10) ** -digits  # of `digits` significant digits in [0.1, 1)
+            lo = mp.mpf(1) / 10 + (12345 + k + mp.mpf("0.4")) * ulp
+            hi = lo + ulp / 5
+            for _ in range(120):
+                mid = (lo + hi) / 2
+                if mp.nstr(mid, digits) == mp.nstr(lo, digits):
+                    lo = mid
+                else:
+                    hi = mid
+            z = mp.mpc(lo, mp.sqrt(1 - lo * lo))
+        with mp.workdps(digits + 10):
+            if mp.nstr(+lo, digits) != mp.nstr(lo, digits):
+                return z
+    raise AssertionError("no double-rounding case found")
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+def test_log_rows_match_nstr(digits):
+    # the stored parts formatted directly give the strings mp.nstr gave
+    # after an mpc copy, which rounds to digits + 10 digits; tiny components
+    # exercise the exponent form
+    def phases():
+        yield mp.mpc(-1)
+        yield mp.mpc(0, 1)
+        yield mp.mpc(0, -1)
+        for theta in ("1e-45", "1e-70", "0.3"):
+            yield mp.expj(mp.mpf(theta))
+            yield mp.expj(mp.mpf(theta)) * mp.mpc(0, 1)  # the tiny part in re
+        yield double_rounding_phase(digits)
+
+    for phase_dps in (digits + 10, 60):
+        phi = PhiAssignment()
+        expected = []
+        with mp.workdps(phase_dps):
+            for i, ph in enumerate(phases()):
+                phi.set_phase(PrimeIdealKey(61, i), ph)
+        phi.set_phase(PrimeIdealKey(67, 0), mp.mpc(1))  # trivial
+        with mp.workdps(digits + 10):
+            for key, ph in phi.items():
+                if key in phi.nontrivial:
+                    z = mp.mpc(ph)
+                    expected.append((key.p, key.root, mp.nstr(mp.re(z), digits),
+                                     mp.nstr(mp.im(z), digits)))
+                else:
+                    expected.append((key.p, key.root, "1", "0"))
+        rows = phi.log_rows(digits)
+        assert rows == expected
+        assert any("e-45" in row[2] for row in rows) and any("e-70" in row[3] for row in rows)

@@ -411,3 +411,53 @@ def test_bernoulli_table_built_once(monkeypatch):
         f_eval(complex(1.5, 3), PARITY_F, Fraction(2, 7), prof)
         f_eval(1, eta, 1, prof)  # cancelled pole
     assert calls == []
+
+
+P30 = PrecisionProfile(30, 1e-25)
+RECORDED_BOUNDS = [  # (profile, s, x, abs_error_bound.hex()) recorded before the tier carried ctx.eps/eps
+    (EXPLORE, 2, 0.3, "0x1.87da5be75bbdap-44"),
+    (EXPLORE, complex(0.5, 14.134725), 1, "0x1.0c3e8e0fef6a9p-42"),
+    (EXPLORE, complex(3, -2), Fraction(3, 4), "0x1.6b1364aed596ap-46"),
+    (EXPLORE, complex(1.5, 100), 0.2, "0x1.7de36fbef3374p-38"),
+    (CERTIFY, 2, 0.3, "0x1.6e8db630b6307p-160"),
+    (CERTIFY, complex(0.5, 14.134725), 1, "0x1.04f400fe417fap-149"),
+    (CERTIFY, complex(3, -2), Fraction(3, 4), "0x1.3d8142bca46d0p-162"),
+    (CERTIFY, complex(1.5, 100), 0.2, "0x1.8e61339bb7845p-160"),
+    (P30, 2, 0.3, "0x1.f0bb22f5a37c0p-94"),
+    (P30, complex(1.5, 100), 0.2, "0x1.0cf69a4892b9bp-93"),
+]
+RECORDED_F_BOUNDS = [  # (profile, f values, alpha, s, abs_error_bound.hex()), as above
+    (EXPLORE, (1, -2), 1, complex(1.3, 5), "0x1.67a7e36cf71cdp-45"),
+    (EXPLORE, (1, -1), Fraction(1, 2), complex(1 + 1e-13, 0), "0x1.407f3d371fa79p-45"),
+    (EXPLORE, (THIRD, 0, -2), 0.7, complex(2, 40), "0x1.53db3aeefe0eap-43"),
+    (CERTIFY, (1, -2), 1, complex(1.3, 5), "0x1.efad20656c11bp-162"),
+    (CERTIFY, (1, -1), Fraction(1, 2), complex(1 + 1e-13, 0), "0x1.7b81c5ff3a779p-161"),
+    (CERTIFY, (THIRD, 0, -2), 0.7, complex(2, 40), "0x1.e3260fa4145dcp-155"),
+    (P30, (1, -1), Fraction(1, 2), complex(1 + 1e-13, 0), "0x1.b5e2ef9af1b2bp-95"),
+]
+
+
+@pytest.mark.parametrize("prof, s, x, bound", RECORDED_BOUNDS)
+def test_hurwitz_bound_bit_identical_to_record(prof, s, x, bound):
+    assert hurwitz_zeta(s, x, prof).abs_error_bound == float.fromhex(bound)
+
+
+@pytest.mark.parametrize("prof, values, alpha, s, bound", RECORDED_F_BOUNDS)
+def test_f_eval_bound_bit_identical_to_record(prof, values, alpha, s, bound):
+    f = PeriodicFunction(len(values), values)
+    assert f_eval(s, f, alpha, prof).abs_error_bound == float.fromhex(bound)
+
+
+@pytest.mark.parametrize("prof", [EXPLORE, P30, CERTIFY], ids=["fp", "mp30", "mp50"])
+def test_rounding_bound_per_tier_constant(prof):
+    # the tier's ctx.eps/eps gives the bound float(ctx.eps / eps) gave per
+    # call, also where the phase term wins (|s| log w past 8 / (4 ctx.eps/eps))
+    ctx, rounding, precision = zeta._tier(prof)
+    assert zeta._tier(prof)[1] is rounding  # built once per tier and digits
+    with precision:
+        for s in (ctx.mpc(2, 0), ctx.mpc(0.5, 1e4), ctx.mpc(3, 1e13)):
+            a, w, magsum = ctx.mpf(0.3), ctx.mpf(40), ctx.mpf(7)
+            eps = rounding.eps
+            log_span = max(abs(math.log(float(a))), math.log(float(w)))
+            old = eps * float(magsum) * max(8, 4 * float(ctx.eps / eps) * float(abs(s)) * log_span)
+            assert zeta._rounding_bound(rounding, s, a, w, magsum) == old
