@@ -15,12 +15,11 @@ from .construction import (
     select_sigma,
     stage_advance,
 )
-from .density import DensityReport, WindowSpec, density_sweep, private_prime_scan, smooth_set
+from .density import DensityReport, WindowSpec, density_sweep, private_prime_scan
 from .ideals import (
     AlgebraicAlpha,
     IdealFactorizationRecord,
     PrimeIdealKey,
-    congruence_check,
     ideal_factorize,
     norm_value,
 )
@@ -36,11 +35,9 @@ from .structure import (
 )
 from .zeros import Rectangle, WindingResult, winding_number, zero_search
 from .zeta import (
-    ComplexPoint,
     EvalResult,
     PoleAtOne,
     PrecisionProfile,
-    abs_tail,
     f_eval,
     hurwitz_zeta,
 )

@@ -498,20 +498,12 @@ class PeriodicFunction:
         if all(re == 0 and im == 0 for re, im in exact):
             raise ValueError("coefficient function must not be identically zero")
 
-    @classmethod
-    def constant_one(cls):
-        return cls(1, (1,))
-
     def exact(self, n: int):
         return self.values[n % self.period]
 
     def __call__(self, n: int) -> complex:
         re, im = self.values[n % self.period]
         return complex(re, im)
-
-    def abs_values(self):
-        """|f(r)| per residue class, as floats."""
-        return [abs(self(r)) for r in range(self.period)]
 
     def cached(self, key, build):
         """build(), called once per instance and `key` (say, the values
@@ -537,6 +529,3 @@ class PeriodicFunction:
         re = sum((v[0] for v in self.values), Fraction(0))
         im = sum((v[1] for v in self.values), Fraction(0))
         return (re, im)
-
-    def is_real(self):
-        return all(im == 0 for _, im in self.values)

@@ -77,9 +77,6 @@ class DirichletCharacter:
             return 0j
         return cmath.exp(2j * cmath.pi * float(a))
 
-    def angle(self, m: int):
-        return self.angles[m % self.modulus]
-
     def cyclo(self, m: int) -> Cyclo:
         """chi(m) as an exact cyclotomic number."""
         a = self.angles[m % self.modulus]
@@ -94,26 +91,6 @@ class DirichletCharacter:
             if a is not None:
                 den = den * a.denominator // gcd(den, a.denominator)
         return den
-
-    def is_principal(self) -> bool:
-        return all(a is None or a == 0 for a in self.angles)
-
-    def is_primitive(self) -> bool:
-        return self.conductor == self.modulus
-
-    def multiply(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if other.modulus != self.modulus:
-            raise ValueError("character product needs a common modulus")
-        angles = tuple(
-            None if (a is None or b is None) else (a + b) % 1
-            for a, b in zip(self.angles, other.angles)
-        )
-        return _with_conductor(self.modulus, angles)
-
-    def key(self):
-        """Canonical identity: (conductor, primitive value table)."""
-        prim = self.primitive_part()
-        return (prim.modulus, prim.angles)
 
     def primitive_part(self) -> "DirichletCharacter":
         """The primitive character inducing this one, tabulated mod conductor."""
@@ -137,10 +114,6 @@ def _coprime_lift(m, f, k):
     while gcd(x, k) != 1:
         x += f
     return x % k
-
-
-def _with_conductor(k, angles):
-    return DirichletCharacter(k, angles, _conductor(k, angles))
 
 
 def _conductor(k, angles):
@@ -175,7 +148,6 @@ def characters_mod(k: int):
     orders = [o for _, o in gens]
     # value table indexed by residue: exponents along each cyclic factor
     logs = {1 % k: tuple([0] * len(gens))}
-    frontier = [(1 % k, tuple([0] * len(gens)))]
     for i, (g, order) in enumerate(gens):
         new = {}
         for m, exps in logs.items():
@@ -194,7 +166,8 @@ def characters_mod(k: int):
             for e_m, e_chi, order in zip(exps, chi_exps, orders):
                 a += Fraction(e_m * e_chi, order)
             angles[m] = a % 1
-        chars.append(_with_conductor(k, tuple(angles)))
+        table = tuple(angles)
+        chars.append(DirichletCharacter(k, table, _conductor(k, table)))
     chars.sort(key=lambda c: (c.conductor, c.order, str(c.angles)))
     return chars
 
@@ -207,8 +180,3 @@ def _mixed_radix(orders):
     for t in range(head):
         for tail in _mixed_radix(rest):
             yield (t, *tail)
-
-
-def primitive_characters_mod(f: int):
-    """Primitive characters of conductor exactly f."""
-    return [chi for chi in characters_mod(f) if chi.conductor == f]

@@ -10,6 +10,7 @@ documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import datetime
@@ -34,15 +35,7 @@ from .construction import (
 )
 from .density import EmptyWindow, SweepReport, WindowSpec, density_sweep, private_prime_scan
 from .ideals import AlgebraicAlpha, PreconditionViolated, ideal_factorize, norm_value
-from .structure import (
-    RationalShift,
-    UnsupportedAlpha,
-    coefficients_at_alpha_one,
-    decompose,
-    detect_pl_form,
-    lift_rational,
-    nonvanishing_verdict,
-)
+from .structure import UnsupportedAlpha, decompose, detect_pl_form, nonvanishing_verdict, rational_series
 from .zeros import (
     BoundaryTooCloseToZero,
     Rectangle,
@@ -143,16 +136,29 @@ def _grid(text):
     return text
 
 
+def _number(text, kind=Fraction):
+    """`text` read as `kind` (Fraction by default, or float or complex); a
+    zero denominator, or a value whose float is not finite, is a ValueError
+    that names the text."""
+    try:
+        value = kind(text)
+        if not cmath.isfinite(complex(value)):
+            raise OverflowError
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"must be a finite number, got {text!r}") from None
+    return value
+
+
 def _parse_values(text):
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if "/" in chunk:
-            out.append(Fraction(chunk))
+            out.append(_number(chunk))
         elif "j" in chunk or "i" in chunk:
-            out.append(complex(chunk.replace("i", "j")))
+            out.append(_number(chunk, lambda t: complex(t.replace("i", "j"))))
         else:
-            out.append(Fraction(chunk) if "." not in chunk else float(chunk))
+            out.append(_number(chunk, Fraction if "." not in chunk else float))
     return tuple(out)
 
 
@@ -183,19 +189,19 @@ def _parse_alpha(args, *, allow_float=False):
         coeffs = tuple(int(c) for c in args.minpoly.split(","))
         if not args.interval:
             raise ValueError("--minpoly requires --interval lo,hi")
-        lo, hi = (Fraction(x) for x in args.interval.split(","))
+        lo, hi = (_number(x) for x in args.interval.split(","))
         return AlgebraicAlpha(coeffs, (lo, hi), q_context=args.q or 1)
     text = args.alpha
     if text is None:
         raise ValueError("no alpha given (use --alpha or --minpoly/--interval)")
     if "/" in text:
-        frac = Fraction(text)
+        frac = _number(text)
         if not 0 < frac <= 1:
             raise ValueError("rational alpha must lie in (0, 1]")
         return frac
     if text.strip() in {"1", "1.0"}:
         return Fraction(1)
-    value = float(text)
+    value = _number(text, float)
     if not allow_float:
         raise UnsupportedAlpha(
             "this command needs a typed alpha: a/b or --minpoly/--interval"
@@ -221,10 +227,10 @@ def _alpha_from_config(config):
     """The alpha a report's config records: the inverse of _alpha_config."""
     cfg = config["alpha"]
     if cfg["kind"] == "algebraic":
-        return AlgebraicAlpha(tuple(cfg["minpoly"]), tuple(Fraction(x) for x in cfg["interval"]),
+        return AlgebraicAlpha(tuple(cfg["minpoly"]), tuple(_number(x) for x in cfg["interval"]),
                               q_context=config.get("q", 1))
     if cfg["kind"] == "rational":
-        return Fraction(cfg["value"])
+        return _number(cfg["value"])
     return cfg["value"]
 
 
@@ -325,21 +331,12 @@ def _value_strs_agree(reported, rebuilt, digits):
     return True
 
 
-def _series_for_structure(f, alpha):
-    if isinstance(alpha, Fraction):
-        if alpha == 1:
-            return coefficients_at_alpha_one(f), 1
-        shift = RationalShift(alpha.numerator, alpha.denominator)
-        return lift_rational(f, shift), shift.b
-    raise UnsupportedAlpha("structure decisions need a rational alpha")
-
-
 def cmd_decompose(args, seed):
     return _decompose_report(_parse_f(args), _parse_alpha(args), seed)
 
 
 def _decompose_report(f, alpha, seed):
-    series, prefactor = _series_for_structure(f, alpha)
+    series, prefactor = rational_series(f, alpha)
     dec = decompose(series)
     cert = detect_pl_form(series, dec)
     config = {"alpha": _alpha_config(alpha), "f": _format_f(f), "q": f.period}
@@ -407,7 +404,7 @@ def cmd_density(args, seed):
     if not isinstance(alpha, AlgebraicAlpha):
         raise UnsupportedAlpha("density needs --minpoly/--interval")
     n_list = [int(x) for x in args.N.split(",")]
-    theta = Fraction(args.theta)
+    theta = _number(args.theta)
     cache = _cache_from(args)
     q = args.q or 1
     if args.b is not None:
@@ -499,7 +496,7 @@ def cmd_construct_phi(args, seed):
 
 def _zero_evaluator(f, alpha):
     if isinstance(alpha, Fraction):
-        series, prefactor = _series_for_structure(f, alpha)
+        series, prefactor = rational_series(f, alpha)
         dec = decompose(series)
         return decomposition_evaluator(dec, prefactor)
     return periodic_series_evaluator(f, _alpha_real(alpha))
@@ -601,7 +598,7 @@ def _recheck(payload, fraction, seed):
         alpha = _alpha_from_config(config)
         windows = results.get("windows", [])
         for wj in sample(windows):
-            w = WindowSpec(wj["N"], Fraction(config["theta"]), wj["q"], wj["b"])
+            w = WindowSpec(wj["N"], _number(config["theta"]), wj["q"], wj["b"])
             rep = private_prime_scan(alpha.with_q(wj["q"]), w)
             checked += 1
             if [[n, k.p, k.root] for n, k in rep.eligible] != wj["eligible"]:
@@ -647,7 +644,8 @@ def _recheck(payload, fraction, seed):
                 if not any(c["winding"] and r.contains(z, ZERO_TOL) for r, c in rects):
                     mismatches.append(["outside", [z.real, z.imag]])
     elif command == "construct-phi":
-        # phases must be unimodular; spot-check the stage log consistency
+        # re-reads each sampled stage's own induction_ok flag; no phase or
+        # sum is recomputed, so this checks the report, not the construction
         for stage in sample(payload["results"]["stages"]):
             checked += 1
             if not stage["induction_ok"]:

@@ -27,7 +27,7 @@ from mpmath.libmp import (
 )
 
 from .arith import FactorCache, PeriodicFunction
-from .density import WindowSpec, private_prime_scan, window_records
+from .density import DENSITY_FLOOR, WindowSpec, private_prime_scan, window_records
 from .ideals import AlgebraicAlpha
 from .zeta import (
     EXPLORE,
@@ -47,7 +47,13 @@ class Unreachable(ValueError):
 
 
 class ThinClass(RuntimeError):
-    """A window class owns fewer private primes than the profile demands."""
+    """A window class owns fewer private primes than MIN_A_SIZE."""
+
+
+# the twisted partial sum must stay under this fraction of the remaining tail
+CONTRACTION = Fraction(1, 100)
+# private primes each window class must own
+MIN_A_SIZE = 5
 
 
 @dataclass(frozen=True)
@@ -56,17 +62,14 @@ class ConstructionProfile:
 
     The consistency inequality
         (floor/(1-floor)) * (1/(1+theta))^(1+delta) > (1+c)/(1-c)
-    ties the density floor, the window ratio and the contraction constant
-    together: with it, a window meeting the floor strictly shrinks the
-    drift bound from stage to stage.
+    ties the density floor (density.DENSITY_FLOOR), the window ratio and
+    the contraction constant c (CONTRACTION) together: with it, a window
+    meeting the floor strictly shrinks the drift bound from stage to stage.
     """
 
     theta: Fraction
     n1: int
     q: int = 1
-    density_floor: float = 0.54
-    contraction: Fraction = Fraction(1, 100)
-    min_a_size: int = 5
     delta: float = 0.5
     digits: int = 50
     name: str = "custom"
@@ -76,8 +79,8 @@ class ConstructionProfile:
             raise ValueError("theta must be in (0,1)")
         if self.n1 < 1 or self.q < 1:
             raise ValueError("n1 and q must be positive")
-        c = float(self.contraction)
-        lhs = (self.density_floor / (1 - self.density_floor)) * (
+        c = float(CONTRACTION)
+        lhs = (DENSITY_FLOOR / (1 - DENSITY_FLOOR)) * (
             1.0 / (1.0 + float(self.theta))
         ) ** (1.0 + self.delta)
         rhs = (1 + c) / (1 - c)
@@ -333,7 +336,6 @@ class PhiAssignment:
 @dataclass(frozen=True)
 class SigmaCertificate:
     sigma: object  # mpf
-    n1: int
     head: float
     head_bound: float
     tail: float
@@ -376,7 +378,7 @@ def select_sigma(f: PeriodicFunction, alpha, profile: ConstructionProfile) -> Si
     n1 = profile.n1
     prec = profile.precision()
     alpha_val = alpha.value(profile.digits)
-    contraction = float(profile.contraction)
+    contraction = float(CONTRACTION)
     with mp.workdps(profile.digits + 10):
         for k in range(1, 80):
             sigma = 1 + mp.mpf(profile.delta) / 2**k
@@ -386,7 +388,7 @@ def select_sigma(f: PeriodicFunction, alpha, profile: ConstructionProfile) -> Si
                 continue
             sums, head, head_b, tail, tail_b = _class_sums(f, alpha_val, sigma, n1, prec)
             cert = SigmaCertificate(
-                sigma, n1, float(head), head_b, float(tail), tail_b, contraction, tuple(sums)
+                sigma, float(head), head_b, float(tail), tail_b, contraction, tuple(sums)
             )
             if cert.certified:
                 return cert
@@ -512,10 +514,10 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
     for n in sorted(records):
         (class_a if n in eligible else class_b)[n % q].append(n)
     for b in range(q):
-        if len(class_a[b]) < profile.min_a_size:
+        if len(class_a[b]) < MIN_A_SIZE:
             raise ThinClass(
                 f"stage {state.j}: class {b} mod {q} has {len(class_a[b])} private "
-                f"primes, below the floor {profile.min_a_size}"
+                f"primes, below the floor {MIN_A_SIZE}"
             )
 
     # case 3: every new admissible prime that is not a chosen private slot
@@ -533,7 +535,7 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
         # from-scratch check, reads it
         weight = _member_weights(records, a_val, sigma)
         state.members.update((n, (records[n], weight[n])) for n in records)
-        c = to_ctx(mp, profile.contraction)
+        c = to_ctx(mp, CONTRACTION)
         new_sums = list(state.class_sums)
         tail, tail_bound = mp.mpf(0), 0.0  # abs tail past n_next, summed over the classes
         for b in range(q):
@@ -572,14 +574,14 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
             achieved = abs(new_sums[b])
 
             bound_ok = achieved <= limit + tol
-            dens_limit = (1 - profile.density_floor) * m_j / q
+            dens_limit = (1 - DENSITY_FLOOR) * m_j / q
             ratio_applicable = len(members_b) <= dens_limit and s2 > 0
             ratio_ok = (s3 - s2 > c * (s3 + s2)) if ratio_applicable else None
             reports.append({
                 "b": b,
                 "count_A": len(members_a),
                 "count_B": len(members_b),
-                "density_ok": len(members_a) >= profile.density_floor * m_j / q,
+                "density_ok": len(members_a) >= DENSITY_FLOOR * m_j / q,
                 "partial_abs_S1": float(s1),
                 "locked_weight_S2": float(s2),
                 "free_weight_S3": float(s3),
@@ -727,7 +729,7 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
                                           state.n_current, phi, state.members)
         delta = float(abs(incremental - scratch))
         tail, tail_b = state.tail  # the last stage's tail past state.n_current
-        envelope = float(abs(incremental)) < float(profile.contraction) * float(tail - tail_b)
+        envelope = float(abs(incremental)) < float(CONTRACTION) * float(tail - tail_b)
         frac = float(abs(incremental) / tail)
         sigma_str = mp.nstr(sigma, digits)
         final_abs = float(abs(incremental))

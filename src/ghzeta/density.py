@@ -100,15 +100,14 @@ def window_records(alpha: AlgebraicAlpha, N: int, M: int,
     return {n: ideal_factorize(alpha, n, cache) for n in range(N + 1, N + M + 1)}
 
 
-def private_key_candidates(record: IdealFactorizationRecord, N: int, M: int,
-                           excluded=frozenset()):
+def private_key_candidates(record: IdealFactorizationRecord, N: int, M: int):
     """Admissible primes of the record large enough to be private in
     [0, N+M]: p > max(n, N+M-n)."""
     n = record.n
     cut = max(n, N + M - n)
     out = []
     for key, e in record.admissible_part:
-        if key.p > cut and key.p not in excluded:
+        if key.p > cut:
             out.append((key, e))
     return out
 
@@ -121,15 +120,12 @@ def _verify_private(key: PrimeIdealKey, n: int, end: int) -> bool:
 
 
 def private_prime_scan(alpha: AlgebraicAlpha, w: WindowSpec, *, all_classes=False,
-                       cache: FactorCache | None = None, records=None,
-                       density_floor: float = DENSITY_FLOOR,
-                       excluded_primes=frozenset()) -> DensityReport:
+                       cache: FactorCache | None = None, records=None) -> DensityReport:
     """Classify window members by private prime ownership.
 
-    `excluded_primes` artificially shrinks the admissible set (a testing
-    hook: removing primes can only remove eligibility).  The chosen key
-    per eligible n is the largest private prime, preferring exponent one,
-    and every choice is re-verified by direct residue-class enumeration.
+    The chosen key per eligible n is the largest private prime, preferring
+    exponent one, and every choice is re-verified by direct residue-class
+    enumeration.
     """
     alpha = alpha.with_q(w.q)
     M, end = w.M, w.end  # each read of w.M multiplies Fractions
@@ -142,7 +138,7 @@ def private_prime_scan(alpha: AlgebraicAlpha, w: WindowSpec, *, all_classes=Fals
     smooth = 0
     for n in members:
         rec = records[n]
-        cands = private_key_candidates(rec, w.N, M, excluded_primes)
+        cands = private_key_candidates(rec, w.N, M)
         if cands:
             cands.sort(key=lambda ke: (ke[1] != 1, -ke[0].p))
             key = cands[0][0]
@@ -151,11 +147,10 @@ def private_prime_scan(alpha: AlgebraicAlpha, w: WindowSpec, *, all_classes=Fals
                     f"privacy shortcut contradicted for n={n}, p={key.p}"
                 )
             eligible.append((n, key))
-        if all(key.p**e < M for key, e in rec.admissible_part
-               if key.p not in excluded_primes):
+        if all(key.p**e < M for key, e in rec.admissible_part):
             smooth += 1
     count = len(eligible)
-    threshold = density_floor * M / w.q
+    threshold = DENSITY_FLOOR * M / w.q
     return DensityReport(
         window=w,
         members=len(members),
@@ -168,38 +163,6 @@ def private_prime_scan(alpha: AlgebraicAlpha, w: WindowSpec, *, all_classes=Fals
         fraction=count / len(members),
         fraction_Mq=count / (M / w.q),
     )
-
-
-def smooth_set(alpha: AlgebraicAlpha, w: WindowSpec, *,
-               cache: FactorCache | None = None, records=None):
-    """Members whose admissible prime powers all stay below M."""
-    alpha = alpha.with_q(w.q)
-    M = w.M
-    members = w.members()
-    if not members:
-        raise EmptyWindow(f"no n = {w.b} (mod {w.q}) in ({w.N}, {w.end}]")
-    if records is None:
-        records = {n: ideal_factorize(alpha, n, cache) for n in members}
-    out = []
-    for n in members:
-        rec = records[n]
-        if all(key.p**e < M for key, e in rec.admissible_part):
-            out.append(n)
-    return out
-
-
-def rescan_soundness(alpha: AlgebraicAlpha, key: PrimeIdealKey, n: int, end: int) -> bool:
-    """Brute-force privacy confirmation: walk every m <= end and test
-    divisibility of (m+alpha)*a by the key's ideal via the root class."""
-    from .ideals import divides
-
-    for m in range(0, end + 1):
-        if m == n:
-            if not divides(alpha, key, 1, m):
-                return False
-        elif divides(alpha, key, 1, m):
-            return False
-    return True
 
 
 @dataclass
@@ -235,8 +198,7 @@ class SweepReport:
 
 
 def density_sweep(alpha: AlgebraicAlpha, n_list, theta, q: int,
-                  cache: FactorCache | None = None,
-                  density_floor: float = DENSITY_FLOOR) -> SweepReport:
+                  cache: FactorCache | None = None) -> SweepReport:
     """Per-(N, b) density reports over a list of window starts.
 
     Windows under the floor are flagged, not failed: the stage count
@@ -252,6 +214,5 @@ def density_sweep(alpha: AlgebraicAlpha, n_list, theta, q: int,
         records = window_records(alpha, N, M, cache)
         for b in range(q):
             w = WindowSpec(N, theta, q, b)
-            reports.append(private_prime_scan(alpha, w, records=records, cache=cache,
-                                              density_floor=density_floor))
+            reports.append(private_prime_scan(alpha, w, records=records, cache=cache))
     return SweepReport(q, theta, reports)

@@ -28,7 +28,6 @@ from .arith import (
     hensel_lift,
     poly_derivative,
     poly_eval,
-    poly_roots_mod_prime_power,
 )
 
 NORM_BIT_CAP = 127
@@ -304,8 +303,6 @@ class PrimeIdealKey:
     p: int
     root: int
 
-    degree = 1
-
     def __post_init__(self):
         if not 0 <= self.root < self.p:
             raise ValueError("root must be a canonical residue mod p")
@@ -316,12 +313,6 @@ class IdealFactorizationRecord:
     n: int
     admissible_part: tuple  # ((PrimeIdealKey, exponent), ...)
     residual_norm: int
-
-    def norm(self):
-        total = self.residual_norm
-        for key, e in self.admissible_part:
-            total *= key.p**e
-        return total
 
 
 def norm_value(alpha: AlgebraicAlpha, n: int) -> int:
@@ -336,14 +327,6 @@ def norm_value(alpha: AlgebraicAlpha, n: int) -> int:
 
 def is_admissible_prime(alpha: AlgebraicAlpha, p: int) -> bool:
     return alpha.bad_modulus % p != 0
-
-
-def prime_ideals_above(alpha: AlgebraicAlpha, p: int):
-    """Degree-1 prime ideals above an admissible p, one per root of
-    minpoly(-x) mod p.  Empty for inert/inadmissible primes."""
-    if not is_admissible_prime(alpha, p):
-        return []
-    return [PrimeIdealKey(p, r) for r in poly_roots_mod_prime_power(list(alpha.negated_poly), p, 1)]
 
 
 def ideal_factorize(alpha: AlgebraicAlpha, n: int,
@@ -376,41 +359,3 @@ def root_mod_power(alpha: AlgebraicAlpha, key: PrimeIdealKey, v: int) -> int:
 def divides(alpha: AlgebraicAlpha, key: PrimeIdealKey, v: int, n: int) -> bool:
     """Does the key's prime ideal divide (n+alpha)a to order at least v?"""
     return n % key.p**v == root_mod_power(alpha, key, v)
-
-
-def congruence_check(alpha: AlgebraicAlpha, key: PrimeIdealKey, v: int,
-                     n1: int, n2: int) -> bool:
-    """Both n1, n2 are assumed divisible by the key's ideal to order >= v;
-    returns n1 = n2 (mod p^v).  Under the hypothesis this is always True,
-    which is exactly what makes it a property-test hook."""
-    rv = root_mod_power(alpha, key, v)
-    pv = key.p**v
-    for n in (n1, n2):
-        if n % pv != rv:
-            raise PreconditionViolated(
-                f"n={n} is not divisible by {key} to order {v} (root class {rv} mod {pv})"
-            )
-    return (n1 - n2) % pv == 0
-
-
-def conjugate_norm_check(alpha: AlgebraicAlpha, n: int, dps: int = 30) -> float:
-    """Relative gap between |minpoly(-n)| and lead * prod |n + alpha_i| over
-    all complex roots alpha_i; float-level consistency probe."""
-    with mp.workdps(dps):
-        roots = mp.polyroots([mp.mpf(c) for c in alpha.minpoly], maxsteps=100)
-        prod = mp.mpf(alpha.lead)
-        for rt in roots:
-            prod *= abs(n + rt)
-        exact = norm_value(alpha, n)
-        return float(abs(prod - exact) / exact)
-
-
-SQRT2_MINUS_1 = None  # initialized lazily in fixtures()
-
-
-def fixtures():
-    """Canonical example shift sqrt(2)-1 (minpoly x^2+2x-1)."""
-    global SQRT2_MINUS_1
-    if SQRT2_MINUS_1 is None:
-        SQRT2_MINUS_1 = AlgebraicAlpha((1, 2, -1), (Fraction(2, 5), Fraction(1, 2)))
-    return SQRT2_MINUS_1

@@ -74,7 +74,6 @@ class LiftedSeries:
 
     coeffs: PeriodicFunction
     shift: RationalShift
-    source_period: int
 
     def __post_init__(self):
         a, b = self.shift.a, self.shift.b
@@ -95,13 +94,25 @@ def lift_rational(f: PeriodicFunction, shift: RationalShift) -> LiftedSeries:
             values.append(tuple(f.exact(n)))
         else:
             values.append(0)
-    return LiftedSeries(PeriodicFunction(period, tuple(values)), shift, f.period)
+    return LiftedSeries(PeriodicFunction(period, tuple(values)), shift)
 
 
 def coefficients_at_alpha_one(f: PeriodicFunction) -> PeriodicFunction:
     """b(m) = f(m-1): the series F(s,f,1) = sum_{m>=1} b(m) m^(-s)."""
     q = f.period
     return PeriodicFunction(q, tuple(tuple(f.exact(m - 1)) for m in range(q)))
+
+
+def rational_series(f: PeriodicFunction, alpha):
+    """(series, prefactor) with F(s,f,alpha) = prefactor^s * sum_{m>=1} c(m) m^(-s)
+    for a rational alpha in (0, 1]: the coefficients c as a PeriodicFunction
+    with prefactor 1 at alpha = 1, else the LiftedSeries with prefactor b."""
+    if not isinstance(alpha, Fraction):
+        raise UnsupportedAlpha("structure decisions need a rational alpha")
+    if alpha == 1:
+        return coefficients_at_alpha_one(f), 1
+    shift = RationalShift(alpha.numerator, alpha.denominator)
+    return lift_rational(f, shift), shift.b
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +240,6 @@ class PLCertificate:
 
     # no conductor search runs; kept at 0 for readers of the former field
     searched_conductors = 0
-
-    def polynomial(self):
-        return dict(self.polynomial_support)
 
 
 def _support_obstruction(g: PeriodicFunction):
@@ -364,15 +372,8 @@ def nonvanishing_verdict(f: PeriodicFunction, alpha, zero_scan_tmax: float = 30.
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
 
-    if alpha == 1:
-        series = coefficients_at_alpha_one(f)
-        prefactor = 1
-        desc = "1"
-    else:
-        shift = RationalShift(alpha.numerator, alpha.denominator)
-        series = lift_rational(f, shift)
-        prefactor = shift.b
-        desc = str(shift)
+    series, prefactor = rational_series(f, alpha)
+    desc = str(alpha)  # "1" or "a/b"
 
     cert = detect_pl_form(series)
     if cert.verdict == NOT_PL:

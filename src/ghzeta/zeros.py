@@ -273,15 +273,6 @@ def _dedupe(found, tol=ZERO_TOL):
 # evaluators
 
 
-def hurwitz_evaluator(x, prof: PrecisionProfile = EXPLORE):
-    """s -> zeta(s, x)."""
-
-    def F(s):
-        return complex(hurwitz_zeta(s, x, prof).value)
-
-    return F
-
-
 def periodic_series_evaluator(f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE):
     """s -> F(s, f, alpha) by per-class Euler-Maclaurin (any real shift)."""
 

@@ -87,17 +87,6 @@ class PrecisionExhausted(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class ComplexPoint:
-    """A point s = sigma + i t given by its real and imaginary parts."""
-
-    sigma: float
-    t: float = 0.0
-
-    def __complex__(self):
-        return complex(self.sigma, self.t)
-
-
-@dataclass(frozen=True)
 class PrecisionProfile:
     """Working precision plus the truncation tolerance requested of it."""
 
@@ -172,11 +161,9 @@ def to_ctx(ctx, x):
     Fractions enter as numerator / denominator (float() in the fp tier), so
     an exact value like 1/3 is correct to working precision; the (re, im)
     Fraction pairs of PeriodicFunction.exact become complex numbers;
-    ComplexPoint, int, float, complex, mpf and mpc keep their kind."""
+    int, float, complex, mpf and mpc keep their kind."""
     if isinstance(x, tuple):
         return ctx.mpc(to_ctx(ctx, x[0]), to_ctx(ctx, x[1]))
-    if isinstance(x, ComplexPoint):
-        return ctx.mpc(x.sigma, x.t)
     if isinstance(x, Fraction):
         return float(x) if ctx is fp else mp.mpf(x.numerator) / x.denominator
     if isinstance(x, (complex, mp.mpc)):
@@ -443,13 +430,6 @@ def _f_eval_near_cancelled_pole(ctx, rounding, s, q, classes, prof):
     )
 
 
-def abs_tail(f: PeriodicFunction, alpha, sigma, N: int, prof: PrecisionProfile = EXPLORE):
-    """sum_{n > N} |f(n)| (n+alpha)^(-sigma), exactly rewritten per class as
-    Hurwitz zeta values at real argument.  Requires sigma > 1."""
-    value, _ = abs_tail_with_bound(f, alpha, sigma, N, prof)
-    return value
-
-
 def abs_coefficient(f: PeriodicFunction, r: int, ctx):
     """|f(r)| as a ctx number, from the exact stored value."""
     re, im = f.exact(r)
@@ -459,7 +439,9 @@ def abs_coefficient(f: PeriodicFunction, r: int, ctx):
 
 
 def abs_tail_with_bound(f: PeriodicFunction, alpha, sigma, N: int, prof: PrecisionProfile = EXPLORE):
-    """(value, bound) for abs_tail: the sum over residue classes of class_tail."""
+    """(value, bound) for sum_{n > N} |f(n)| (n+alpha)^(-sigma), exactly
+    rewritten per class as Hurwitz zeta values at real argument: the sum
+    over residue classes of class_tail.  Requires sigma > 1."""
     ctx, _, precision = _tier(prof)
     total = ctx.mpf(0)
     bound = 0.0

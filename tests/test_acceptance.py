@@ -18,7 +18,7 @@ from mpmath import mp
 from ghzeta.arith import FactorCache, PeriodicFunction
 from ghzeta.construction import ConstructionProfile, Unreachable, bohr_solve, run_construction
 from ghzeta.density import WindowSpec, density_sweep, private_prime_scan
-from ghzeta.ideals import fixtures, ideal_factorize, norm_value, prime_ideals_above, root_mod_power
+from ghzeta.ideals import ideal_factorize, norm_value, root_mod_power
 from ghzeta.structure import (
     IS_PL,
     NOT_PL,
@@ -29,11 +29,12 @@ from ghzeta.structure import (
     detect_pl_form,
     lift_rational,
 )
-from ghzeta.zeros import Rectangle, decomposition_evaluator, hurwitz_evaluator, zero_search, winding_number
+from ghzeta.zeros import Rectangle, decomposition_evaluator, zero_search, winding_number
 from ghzeta.zeta import f_eval, hurwitz_zeta
+from oracles import fixtures, hurwitz_evaluator, prime_ideals_above, recomposed_norm
 
 ALPHA = fixtures()
-ONE = PeriodicFunction.constant_one()
+ONE = PeriodicFunction(1, (1,))
 LOG2_3 = math.log2(3)
 T_STEP = 2 * math.pi / math.log(2)
 
@@ -128,7 +129,7 @@ def build_criterion2():
 
     # reconvolution exactness re-checked from the reported certificates
     def reconvolves(cert, series):
-        poly = cert.polynomial()
+        poly = dict(cert.polynomial_support)
         chi = cert.character
         from ghzeta.cyclo import Cyclo
 
@@ -155,7 +156,7 @@ def build_criterion3():
     for n in range(n_max + 1):
         rec = ideal_factorize(ALPHA, n, cache)
         table[n] = dict(rec.admissible_part)
-        if rec.norm() != norm_value(ALPHA, n):
+        if recomposed_norm(rec) != norm_value(ALPHA, n):
             recompose_ok = False
 
     law_ok = True

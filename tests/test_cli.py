@@ -11,7 +11,8 @@ import pytest
 
 import ghzeta
 from ghzeta.cli import SCHEMA_VERSION, main
-from ghzeta.ideals import fixtures, norm_value
+from ghzeta.ideals import norm_value
+from oracles import fixtures
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -133,14 +134,31 @@ ZEROS_FLAGS = ["zeros", "--alpha", "1", "--f", "1,-2"]
     [*ZEROS_FLAGS, "--rect", "1.3,1.9,-inf,30"],
     [*ZEROS_FLAGS, "--rect", "1.3,1.9,0,inf"],
     ["verify", "report-to-check.json", "--fraction", "inf"],
+    # exact numbers, read after argument parsing
+    ["eval", "--sigma", "2", "--alpha", "1/0", "--f", "1"],
+    ["eval", "--sigma", "2", "--alpha", "1", "--f", "1/0"],
+    ["eval", "--sigma", "2", "--alpha", "1", "--f", "1e400"],
+    ["eval", "--sigma", "2", "--alpha", "1", "--f", "1.0e400"],
+    ["eval", "--sigma", "2", "--alpha", "1", "--f", "1,1e400j"],
+    ["eval", "--sigma", "2", "--alpha", "1e400", "--f", "1"],
+    ["decompose", "--alpha", "1", "--f", "1e400"],
+    ["classify", "--alpha", "1", "--f", "1e400"],
+    ["zeros", "--alpha", "1", "--f", "1e400", "--rect", "1.3,1.9,0,30"],
+    ["density", *ALPHA_FLAGS, "--theta", "1/0", "--N", "100"],
+    ["factor-ideals", "--minpoly", "1,2,-1", "--interval", "0.4,1/0", "--range", "0..5"],
 ])
 def test_non_finite_number_is_usage_error(tmp_path, capsys, args):
     # these used to end in an OverflowError or ZeroDivisionError traceback,
-    # PrecisionExhausted (exit 2), or "rectangle must have positive area"
-    with pytest.raises(SystemExit) as exc:
-        main(args + ["--output", str(tmp_path / "report.json")])
-    assert exc.value.code == 1
-    assert "must be a finite number" in capsys.readouterr().err
+    # PrecisionExhausted (exit 2), or "rectangle must have positive area";
+    # argparse rejects a bad option value by SystemExit, main a bad exact
+    # number by returning 1
+    try:
+        code = main(args + ["--output", str(tmp_path / "report.json")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "must be a finite number" in err and "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -622,6 +640,13 @@ def test_verify_rejects_other_schema(tmp_path, capsys):
     {"schema": SCHEMA_VERSION, "command": "classify", "config": {}, "results": {}},
     {"schema": SCHEMA_VERSION, "command": "factor-ideals", "config": {"alpha": {}}, "results": {}},
     [1, 2, 3],
+    # a zero denominator in the config used to end in a ZeroDivisionError traceback
+    {"schema": SCHEMA_VERSION, "command": "decompose",
+     "config": {"alpha": {"kind": "rational", "value": "1/0"}, "f": ["1"], "q": 1}, "results": {}},
+    {"schema": SCHEMA_VERSION, "command": "density",
+     "config": {"alpha": {"kind": "algebraic", "minpoly": [1, 2, -1], "interval": ["2/5", "1/2"]},
+                "q": 1, "theta": "1/0"},
+     "results": {"windows": [{"N": 100, "q": 1, "b": 0, "eligible": []}]}},
 ])
 def test_verify_malformed_report_is_usage_error(tmp_path, capsys, payload):
     bad = tmp_path / "bad.json"

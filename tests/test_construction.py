@@ -26,12 +26,12 @@ from ghzeta.ideals import (
     AlgebraicAlpha,
     IdealFactorizationRecord,
     PrimeIdealKey,
-    fixtures,
     ideal_factorize,
 )
+from oracles import fixtures
 
 ALPHA = fixtures()
-ONE = PeriodicFunction.constant_one()
+ONE = PeriodicFunction(1, (1,))
 
 
 def linkage_sum(radii, units):
@@ -558,7 +558,7 @@ def mp_hurwitz_counter(monkeypatch):
 
 
 def assert_same_certificate(cert, ref):
-    # the dataclass compares sigma, n1, head, head_bound, tail, tail_bound
+    # the dataclass compares sigma, head, head_bound, tail, tail_bound
     # and contraction; the first stage's class sums are compared apart
     assert cert == ref
     assert [c._mpc_ for c in cert.class_sums] == [c._mpc_ for c in ref.class_sums]

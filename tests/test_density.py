@@ -12,11 +12,10 @@ from ghzeta.density import (
     density_sweep,
     private_key_candidates,
     private_prime_scan,
-    rescan_soundness,
-    smooth_set,
     window_records,
 )
-from ghzeta.ideals import fixtures, ideal_factorize
+from ghzeta.ideals import ideal_factorize
+from oracles import fixtures, rescan_soundness
 
 ALPHA = fixtures()
 
@@ -82,26 +81,17 @@ def test_shortcut_equivalence_random_cases():
     assert checked > 50
 
 
-def test_monotonicity_under_admissible_shrinking():
+def test_smooth_count_examples():
     w = WindowSpec(100, Fraction(1, 10), 1, 0)
-    full = {n for n, _ in private_prime_scan(ALPHA, w).eligible}
-    for excluded in ({4999}, {137, 10607}, {4999, 743, 151, 1697}):
-        shrunk = {
-            n for n, _ in private_prime_scan(ALPHA, w, excluded_primes=frozenset(excluded)).eligible
-        }
-        assert shrunk <= full
-
-
-def test_smooth_set_examples():
-    w = WindowSpec(100, Fraction(1, 10), 1, 0)
-    ss = smooth_set(ALPHA, w)
-    assert 101 not in ss  # 4999 >= 10
-    assert ss == []  # every window value carries a large admissible prime power
+    rep = private_prime_scan(ALPHA, w)
+    # every window value carries a large admissible prime power (101: 4999 >= 10)
+    assert rep.smooth_count == 0 and rep.rho == 0
     # vacuous membership: a value with no admissible primes at all
     w2 = WindowSpec(2, Fraction(1, 2), 1, 0)
     rec = ideal_factorize(ALPHA, 3)
     assert rec.admissible_part == ()
-    assert 3 in smooth_set(ALPHA, w2)
+    assert w2.members() == [3]
+    assert private_prime_scan(ALPHA, w2).smooth_count == 1
 
 
 def test_empty_window():
@@ -146,7 +136,6 @@ def test_scan_factors_members_only(monkeypatch, q, b):
     # keys as a scan over the whole window's records
     w = WindowSpec(3000, Fraction(1, 50), q, b)
     full = private_prime_scan(ALPHA, w, records=window_records(ALPHA.with_q(q), w.N, w.M))
-    smooth = set(smooth_set(ALPHA, w, records=window_records(ALPHA.with_q(q), w.N, w.M)))
     factored = []
 
     def counted(alpha, n, cache=None):
@@ -157,6 +146,3 @@ def test_scan_factors_members_only(monkeypatch, q, b):
     rep = private_prime_scan(ALPHA, w)
     assert sorted(factored) == w.members()
     assert rep.eligible == full.eligible and rep.smooth_count == full.smooth_count
-    factored.clear()
-    assert set(smooth_set(ALPHA, w)) == smooth
-    assert sorted(factored) == w.members()

@@ -16,13 +16,13 @@ from ghzeta.zeros import (
     _evaluated_once,
     decomposition_evaluator,
     dirichlet_polynomial_zeros,
-    hurwitz_evaluator,
     periodic_series_evaluator,
     polynomial_evaluator,
     polynomial_sigma_bound,
     winding_number,
     zero_search,
 )
+from oracles import hurwitz_evaluator
 
 LOG2_3 = math.log2(3)
 T_STEP = 2 * math.pi / math.log(2)
@@ -176,7 +176,7 @@ def test_exploratory_scan_near_one():
     # alpha = 1/3 close to the sigma = 1 line: the scan must run cleanly
     # and report whatever it finds (no effective bound says where the
     # first zero lives, so no location is asserted)
-    dec = decompose(lift_rational(PeriodicFunction.constant_one(), RationalShift(1, 3)))
+    dec = decompose(lift_rational(PeriodicFunction(1, (1,)), RationalShift(1, 3)))
     F = decomposition_evaluator(dec, prefactor=3)
     res = zero_search(F, Rectangle(1.001, 1.2, 0, 8), (2, 4))
     assert len(res.cells) == 8
@@ -196,9 +196,9 @@ def test_periodic_series_evaluator_matches_decomposition():
 
 def test_lifted_decomposition_evaluator():
     # alpha = 1/3: F = 3^s * combination; compare against per-class evaluation
-    dec = decompose(lift_rational(PeriodicFunction.constant_one(), RationalShift(1, 3)))
+    dec = decompose(lift_rational(PeriodicFunction(1, (1,)), RationalShift(1, 3)))
     F = decomposition_evaluator(dec, prefactor=3)
-    direct = periodic_series_evaluator(PeriodicFunction.constant_one(), 1 / 3)
+    direct = periodic_series_evaluator(PeriodicFunction(1, (1,)), 1 / 3)
     rng = random.Random(6)
     for _ in range(5):
         s = complex(rng.uniform(1.4, 2.5), rng.uniform(-10, 10))
