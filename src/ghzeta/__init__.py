@@ -1,7 +1,7 @@
 """Generalized Hurwitz zeta series: evaluation, structural form decisions,
 prime-ideal density experiments, phase constructions, and zero location."""
 
-from .arith import Factorization, FactorCache, PeriodicFunction, factorize, is_prime, poly_roots_mod_prime_power
+from .arith import Factorization, FactorCache, PeriodicFunction, factorize, is_prime
 from .characters import DirichletCharacter, characters_mod
 from .construction import (
     ConstructionProfile,

@@ -2,7 +2,7 @@
 
 Deterministic primality testing (Miller-Rabin with prime base sets that
 are proven below 3.3e24), Brent-cycle Pollard rho factorization,
-polynomial root finding and Hensel lifting mod prime powers, and the
+integer polynomial evaluation, divisor lists, and the
 periodic coefficient container used by the series evaluators.
 """
 
@@ -284,164 +284,20 @@ class FactorCache:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Z, roots mod p^v
+# polynomials over Z (evaluation, derivative) and divisors
 
 
-class NonSimpleRoot(ArithmeticError):
-    """A root mod p has vanishing derivative mod p, so it does not lift
-    uniquely to prime-power moduli."""
-
-
-def poly_eval(coeffs, x, mod=None):
+def poly_eval(coeffs, x):
     """Evaluate a polynomial given by descending coefficients [c_d, ..., c_0]."""
     acc = 0
     for c in coeffs:
         acc = acc * x + c
-        if mod is not None:
-            acc %= mod
     return acc
 
 
 def poly_derivative(coeffs):
     d = len(coeffs) - 1
     return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
-
-
-def _poly_mod_reduce(coeffs, p):
-    out = [c % p for c in coeffs]
-    while out and out[0] == 0:
-        out.pop(0)
-    return out
-
-
-def _poly_mulmod(a, b, mod_poly, p):
-    # product of a and b reduced mod (mod_poly, p); all descending coeffs
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                res[i + j] = (res[i + j] + ca * cb) % p
-    return _poly_divmod_p(res, mod_poly, p)[1]
-
-
-def _poly_divmod_p(a, b, p):
-    a = list(a)
-    lead_inv = pow(b[0], -1, p)
-    q = []
-    while len(a) >= len(b):
-        f = a[0] * lead_inv % p
-        q.append(f)
-        for i, cb in enumerate(b):
-            a[i] = (a[i] - f * cb) % p
-        a.pop(0)
-    while a and a[0] == 0:
-        a.pop(0)
-    return q, a
-
-
-def _poly_gcd_p(a, b, p):
-    a = _poly_mod_reduce(a, p)
-    b = _poly_mod_reduce(b, p)
-    while b:
-        a, b = b, _poly_divmod_p(a, b, p)[1]
-    if a:
-        inv = pow(a[0], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _roots_mod_p(coeffs, p):
-    """All roots of the polynomial in F_p, via gcd with x^p - x and
-    equal-degree splitting (deterministically seeded)."""
-    cm = _poly_mod_reduce(coeffs, p)
-    if not cm:
-        raise ValueError("polynomial vanishes identically mod p")
-    if len(cm) == 1:
-        return []
-    if p <= 1000:
-        return sorted(x for x in range(p) if poly_eval(cm, x, p) == 0)
-    # g = gcd(x^p - x, f) collects the distinct linear factors
-    xp = _powmod_x_shift(0, p, cm, p)  # x^p
-    xp_minus_x = list(xp)
-    # subtract x
-    if len(xp_minus_x) < 2:
-        xp_minus_x = [0] * (2 - len(xp_minus_x)) + xp_minus_x
-    xp_minus_x[-2] = (xp_minus_x[-2] - 1) % p
-    g = _poly_gcd_p(xp_minus_x, cm, p)
-    return sorted(_split_linear(g, p))
-
-
-def _split_linear(g, p):
-    """Roots of a product of distinct linear factors mod p (Cantor-Zassenhaus)."""
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        # g = x + c  ->  root -c
-        return [(-g[1] * pow(g[0], -1, p)) % p]
-    rng = random.Random(f"{p}:{g}")
-    for _ in range(200):
-        a = rng.randrange(p)
-        # gcd((x+a)^((p-1)/2) - 1, g) splits the root set roughly in half
-        h = _powmod_x_shift(a, (p - 1) // 2, g, p)
-        h = list(h)
-        if h:
-            h[-1] = (h[-1] - 1) % p
-        else:
-            h = [p - 1]
-        d = _poly_gcd_p(h, g, p)
-        if 0 < len(d) - 1 < deg:
-            rest = _poly_divmod_p(g, d, p)[0]
-            return _split_linear(d, p) + _split_linear(rest, p)
-    raise ArithmeticError(f"failed to split degree-{deg} factor mod {p}")  # pragma: no cover
-
-
-def _powmod_x_shift(a, e, mod_poly, p):
-    """(x + a)^e reduced mod (mod_poly, p), by square and multiply."""
-    result = [1]
-    base = [1, a]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod_poly, p)
-        base = _poly_mulmod(base, base, mod_poly, p)
-        e >>= 1
-    return result
-
-
-def hensel_lift(coeffs, p, root, v):
-    """Lift a simple root of the polynomial mod p to the unique root mod p^v.
-
-    Raises NonSimpleRoot if the derivative vanishes at the root mod p.
-    """
-    deriv = poly_derivative(coeffs)
-    if poly_eval(deriv, root, p) % p == 0:
-        if v > 1:
-            raise NonSimpleRoot(f"root {root} mod {p} is not simple")
-        return root % p
-    r = root % p
-    mod = p
-    while mod < p**v:
-        mod = min(mod * mod, p**v)
-        d_inv = pow(poly_eval(deriv, r, mod), -1, mod)
-        r = (r - poly_eval(coeffs, r, mod) * d_inv) % mod
-    return r
-
-
-def poly_roots_mod_prime_power(coeffs, p: int, v: int = 1):
-    """All x in [0, p^v) with P(x) = 0 mod p^v, for P nonzero mod p.
-
-    Simple roots mod p lift uniquely (Hensel); a non-simple root with v > 1
-    raises NonSimpleRoot, since the caller is expected to have excluded
-    primes dividing the discriminant.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if v < 1:
-        raise ValueError("exponent must be >= 1")
-    base_roots = _roots_mod_p(coeffs, p)
-    if v == 1:
-        return base_roots
-    return sorted(hensel_lift(coeffs, p, r, v) for r in base_roots)
 
 
 def divisors(n: int):

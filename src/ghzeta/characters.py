@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import factorize
+from .arith import divisors, factorize
 from .cyclo import Cyclo
 
 
@@ -117,12 +117,7 @@ def _coprime_lift(m, f, k):
 
 
 def _conductor(k, angles):
-    if k == 1:
-        return 1
-    divisors = sorted(
-        d for d in range(1, k + 1) if k % d == 0
-    )
-    for f in divisors:
+    for f in divisors(k):
         # chi factors through mod f iff chi(m) = chi(m') whenever m = m' mod f
         classes = {}
         ok = True

@@ -34,7 +34,7 @@ from .construction import (
     run_construction,
 )
 from .density import EmptyWindow, SweepReport, WindowSpec, density_sweep, private_prime_scan
-from .ideals import AlgebraicAlpha, PreconditionViolated, ideal_factorize, norm_value
+from .ideals import AlgebraicAlpha, ideal_factorize, norm_value
 from .structure import UnsupportedAlpha, decompose, detect_pl_form, nonvanishing_verdict, rational_series
 from .zeros import (
     BoundaryTooCloseToZero,
@@ -64,7 +64,7 @@ class SchemaMismatch(Exception):
 DOMAIN_ERRORS = (
     ThinClass, Unreachable, EmptyWindow, PoleAtOne, DivergesAtOne,
     PrecisionExhausted, FactorizationOverflow, BoundaryTooCloseToZero,
-    UnsupportedAlpha, PreconditionViolated, SchemaMismatch, UnresolvedZeros,
+    UnsupportedAlpha, SchemaMismatch, UnresolvedZeros,
 )
 
 

@@ -84,10 +84,6 @@ class Cyclo:
         return cls(1, (Fraction(0),))
 
     @classmethod
-    def one(cls):
-        return cls(1, (Fraction(1),))
-
-    @classmethod
     def from_rational(cls, re, im=0):
         re, im = Fraction(re), Fraction(im)
         if im == 0:

@@ -4,11 +4,10 @@ An algebraic alpha in (0,1) is carried as its integer minimal polynomial
 plus an isolating interval.  For n >= 0 the ideal (n+alpha)*a (a the
 denominator ideal, of norm equal to the leading coefficient) is integral
 with norm |minpoly(-n)|, so divisibility questions reduce to factoring
-plain integers and tracking residue classes of n modulo prime powers:
-for an admissible prime p (coprime to leading coefficient, discriminant
-and the ambient period q), the degree-1 prime ideals above p correspond
-to the simple roots r of minpoly(-x) mod p, and p^v divides (n+alpha)*a
-exactly when n lies in the Hensel lift of r mod p^v.  Inadmissible primes
+plain integers: for an admissible prime p (coprime to leading coefficient,
+discriminant and the ambient period q) dividing that norm, the whole
+p-valuation sits on the one degree-1 prime ideal above p, keyed by
+(p, n mod p).  Inadmissible primes
 are swept into the residual norm and never carry phase information.
 """
 
@@ -25,17 +24,12 @@ from .arith import (
     FactorCache,
     FactorizationOverflow,
     factorize,
-    hensel_lift,
     poly_derivative,
     poly_eval,
 )
 
 NORM_BIT_CAP = 127
-DEFAULT_DEGREE_CAP = 4
-
-
-class PreconditionViolated(ValueError):
-    """A congruence-law check was invoked on inputs outside its hypothesis."""
+MAX_DEGREE = 4  # irreducibility is certified up to degree 4 only
 
 
 def _content(coeffs):
@@ -218,7 +212,6 @@ class AlgebraicAlpha:
     minpoly: tuple
     interval: tuple  # (lo, hi) Fractions, 0 < lo < hi < 1
     q_context: int = 1
-    degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
         coeffs = tuple(int(c) for c in self.minpoly)
@@ -226,8 +219,8 @@ class AlgebraicAlpha:
         lo, hi = (Fraction(v) for v in self.interval)
         object.__setattr__(self, "interval", (lo, hi))
         d = len(coeffs) - 1
-        if not 2 <= d <= self.degree_cap:
-            raise ValueError(f"degree must be in [2, {self.degree_cap}], got {d}")
+        if not 2 <= d <= MAX_DEGREE:
+            raise ValueError(f"degree must be in [2, {MAX_DEGREE}], got {d}")
         if coeffs[0] <= 0:
             raise ValueError("leading coefficient must be positive")
         if _content(coeffs) != 1:
@@ -269,7 +262,7 @@ class AlgebraicAlpha:
     def with_q(self, q: int) -> "AlgebraicAlpha":
         if q == self.q_context:
             return self
-        return AlgebraicAlpha(self.minpoly, self.interval, q, self.degree_cap)
+        return AlgebraicAlpha(self.minpoly, self.interval, q)
 
     def value(self, dps: int = 17):
         """The isolated root as an mpf at `dps` digits (float if dps <= 17)."""
@@ -346,16 +339,3 @@ def ideal_factorize(alpha: AlgebraicAlpha, n: int,
         else:
             residual *= p**e
     return IdealFactorizationRecord(n, tuple(admissible), residual)
-
-
-def root_mod_power(alpha: AlgebraicAlpha, key: PrimeIdealKey, v: int) -> int:
-    """Hensel lift of the key's root class to mod p^v: the unique residue
-    r_v with p^v | (n+alpha)a iff n = r_v (mod p^v)."""
-    if poly_eval(alpha.negated_poly, key.root, key.p) % key.p != 0:
-        raise PreconditionViolated(f"{key} is not a root class of the shift polynomial")
-    return hensel_lift(list(alpha.negated_poly), key.p, key.root, v)
-
-
-def divides(alpha: AlgebraicAlpha, key: PrimeIdealKey, v: int, n: int) -> bool:
-    """Does the key's prime ideal divide (n+alpha)a to order at least v?"""
-    return n % key.p**v == root_mod_power(alpha, key, v)

@@ -137,7 +137,6 @@ def _tracked_delta(probe, za, zb, va, vb, depth, rect, state):
 
 @dataclass
 class ZeroSearchResult:
-    region: Rectangle
     cells: list
     zeros: list  # refined, deduplicated; each inside the (padded) cell that wound it
     residuals: list  # |F(zero)| for each of `zeros`
@@ -201,7 +200,7 @@ def zero_search(series, region: Rectangle, grid=(4, 8)) -> ZeroSearchResult:
                 found.extend(zeros)
             cells.append(res)
     zeros = _dedupe(found)
-    return ZeroSearchResult(region, cells, zeros, [abs(series(z)) for z in zeros])
+    return ZeroSearchResult(cells, zeros, [abs(series(z)) for z in zeros])
 
 
 def _wind_with_retries(series, cell, dx, dy):

@@ -1,10 +1,10 @@
 """Independent checks and fixtures that only the tests call.
 
 Each re-derives, by a slower or more direct route, something the package
-computes: brute-force privacy, the prime ideals above p from the roots
-mod p, the Hensel congruence law, the norm from the factors and from the
-complex conjugates, primitive characters by filtering the group, and
-zeta(s, x) for winding.
+computes: brute-force privacy, the prime ideals above p and their root
+classes mod p^v by exhaustive search, the congruence law, the norm from
+the factors and from the complex conjugates, primitive characters by
+filtering the group, and zeta(s, x) for winding.
 """
 
 from __future__ import annotations
@@ -13,17 +13,14 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from ghzeta.arith import poly_roots_mod_prime_power
+from ghzeta.arith import poly_eval
 from ghzeta.characters import characters_mod
 from ghzeta.ideals import (
     AlgebraicAlpha,
     IdealFactorizationRecord,
-    PreconditionViolated,
     PrimeIdealKey,
-    divides,
     is_admissible_prime,
     norm_value,
-    root_mod_power,
 )
 from ghzeta.zeta import EXPLORE, PrecisionProfile, hurwitz_zeta
 
@@ -41,11 +38,26 @@ def rescan_soundness(alpha: AlgebraicAlpha, key: PrimeIdealKey, n: int, end: int
 
 
 def prime_ideals_above(alpha: AlgebraicAlpha, p: int):
-    """Degree-1 prime ideals above an admissible p, one per root of
-    minpoly(-x) mod p.  Empty for inert/inadmissible primes."""
+    """Degree-1 prime ideals above an admissible p, one per r in [0, p)
+    with p | minpoly(-r).  Empty for inert/inadmissible primes."""
     if not is_admissible_prime(alpha, p):
         return []
-    return [PrimeIdealKey(p, r) for r in poly_roots_mod_prime_power(list(alpha.negated_poly), p, 1)]
+    return [PrimeIdealKey(p, r) for r in range(p) if poly_eval(alpha.negated_poly, r) % p == 0]
+
+
+def root_mod_power(alpha: AlgebraicAlpha, key: PrimeIdealKey, v: int) -> int:
+    """The root class r_v of the key mod p^v: the unique x = key.root
+    (mod p) in [0, p^v) with p^v | minpoly(-x), found by trying each."""
+    pv = key.p**v
+    roots = [x for x in range(key.root, pv, key.p) if poly_eval(alpha.negated_poly, x) % pv == 0]
+    if len(roots) != 1:
+        raise ValueError(f"{key} has no unique root class mod {pv}")
+    return roots[0]
+
+
+def divides(alpha: AlgebraicAlpha, key: PrimeIdealKey, v: int, n: int) -> bool:
+    """Does the key's prime ideal divide (n+alpha)a to order at least v?"""
+    return n % key.p**v == root_mod_power(alpha, key, v)
 
 
 def congruence_check(alpha: AlgebraicAlpha, key: PrimeIdealKey, v: int,
@@ -57,7 +69,7 @@ def congruence_check(alpha: AlgebraicAlpha, key: PrimeIdealKey, v: int,
     pv = key.p**v
     for n in (n1, n2):
         if n % pv != rv:
-            raise PreconditionViolated(
+            raise ValueError(
                 f"n={n} is not divisible by {key} to order {v} (root class {rv} mod {pv})"
             )
     return (n1 - n2) % pv == 0

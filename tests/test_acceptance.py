@@ -18,7 +18,7 @@ from mpmath import mp
 from ghzeta.arith import FactorCache, PeriodicFunction
 from ghzeta.construction import ConstructionProfile, Unreachable, bohr_solve, run_construction
 from ghzeta.density import WindowSpec, density_sweep, private_prime_scan
-from ghzeta.ideals import ideal_factorize, norm_value, root_mod_power
+from ghzeta.ideals import ideal_factorize, norm_value
 from ghzeta.structure import (
     IS_PL,
     NOT_PL,
@@ -31,7 +31,7 @@ from ghzeta.structure import (
 )
 from ghzeta.zeros import Rectangle, decomposition_evaluator, zero_search, winding_number
 from ghzeta.zeta import f_eval, hurwitz_zeta
-from oracles import fixtures, hurwitz_evaluator, prime_ideals_above, recomposed_norm
+from oracles import fixtures, hurwitz_evaluator, prime_ideals_above, recomposed_norm, root_mod_power
 
 ALPHA = fixtures()
 ONE = PeriodicFunction(1, (1,))

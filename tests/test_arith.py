@@ -9,13 +9,9 @@ from ghzeta import arith
 from ghzeta.arith import (
     FactorCache,
     Factorization,
-    NonSimpleRoot,
     PeriodicFunction,
     factorize,
-    hensel_lift,
     is_prime,
-    poly_eval,
-    poly_roots_mod_prime_power,
 )
 from ghzeta.zeta import abs_coefficient
 
@@ -199,45 +195,6 @@ def test_is_prime_deterministic_band():
 def test_factorization_recomposition_guard():
     with pytest.raises(ValueError):
         Factorization(10, ((2, 1), (3, 1)))
-
-
-def test_poly_roots_examples():
-    assert poly_roots_mod_prime_power([1, -2, -1], 7, 1) == [4, 5]
-    assert poly_roots_mod_prime_power([1, -2, -1], 5, 1) == []
-    assert poly_roots_mod_prime_power([1, -2, -1], 7, 2) == [11, 40]
-
-
-def test_poly_roots_large_prime():
-    roots = poly_roots_mod_prime_power([1, -2, -1], 4999, 1)
-    assert len(roots) == 2
-    for r in roots:
-        assert poly_eval([1, -2, -1], r) % 4999 == 0
-
-
-@given(
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=5),
-    st.sampled_from([3, 5, 7, 11, 13, 101]),
-    st.integers(min_value=1, max_value=3),
-)
-def test_poly_roots_property(coeffs, p, v):
-    if all(c % p == 0 for c in coeffs):
-        coeffs = coeffs + [1]
-    try:
-        roots = poly_roots_mod_prime_power(coeffs, p, v)
-    except NonSimpleRoot:
-        return
-    modulus = p**v
-    for r in roots:
-        assert 0 <= r < modulus
-        assert poly_eval(coeffs, r) % modulus == 0
-    base = poly_roots_mod_prime_power(coeffs, p, 1)
-    assert len(base) <= len(coeffs) - 1 or len([c for c in coeffs if c % p]) <= 1
-
-
-def test_hensel_non_simple_root():
-    # x^2 mod 3: root 0 has vanishing derivative
-    with pytest.raises(NonSimpleRoot):
-        hensel_lift([1, 0, 0], 3, 0, 2)
 
 
 def test_periodic_function_basics():

@@ -16,7 +16,7 @@ def test_root_arithmetic():
     i = Cyclo.root_of_unity(1, 4)
     assert (i * i) == Cyclo.from_rational(-1)
     z3 = Cyclo.root_of_unity(1, 3)
-    assert (Cyclo.one() + z3 + z3 * z3).is_zero()
+    assert (Cyclo.from_rational(1) + z3 + z3 * z3).is_zero()
     z = Cyclo.root_of_unity(5, 12)
     assert complex(z) == cmath.exp(2j * cmath.pi * 5 / 12) or abs(
         complex(z) - cmath.exp(2j * cmath.pi * 5 / 12)
@@ -44,8 +44,8 @@ def test_rational_embedding_and_scaling():
 def test_zero_detection_nontrivial():
     # 1 + z5 + z5^2 + z5^3 + z5^4 = 0 in a redundant representation
     z5 = Cyclo.root_of_unity(1, 5)
-    acc = Cyclo.one()
-    power = Cyclo.one()
+    acc = Cyclo.from_rational(1)
+    power = Cyclo.from_rational(1)
     for _ in range(4):
         power = power * z5
         acc = acc + power

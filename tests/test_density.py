@@ -15,7 +15,7 @@ from ghzeta.density import (
     window_records,
 )
 from ghzeta.ideals import ideal_factorize
-from oracles import fixtures, rescan_soundness
+from oracles import divides, fixtures, rescan_soundness
 
 ALPHA = fixtures()
 
@@ -60,8 +60,6 @@ def test_eligible_rescan_soundness():
 def test_shortcut_equivalence_random_cases():
     """The arithmetic privacy criterion p > max(n, N+M-n) agrees with a
     full divisibility rescan over every m <= N+M."""
-    from ghzeta.ideals import divides
-
     rng = random.Random(41)
     checked = 0
     for _ in range(100):

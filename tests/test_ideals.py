@@ -8,22 +8,21 @@ from ghzeta.arith import FactorizationOverflow
 from ghzeta.ideals import (
     AlgebraicAlpha,
     _is_irreducible,
-    PreconditionViolated,
     PrimeIdealKey,
     count_real_roots,
-    divides,
     ideal_factorize,
     is_admissible_prime,
     norm_value,
     poly_discriminant,
-    root_mod_power,
 )
 from oracles import (
     congruence_check,
     conjugate_norm_check,
+    divides,
     fixtures,
     prime_ideals_above,
     recomposed_norm,
+    root_mod_power,
 )
 
 ALPHA = fixtures()  # sqrt(2) - 1, minpoly x^2 + 2x - 1
@@ -104,8 +103,10 @@ def test_irreducibility_certificate(coeffs, irreducible):
 
 
 def test_irreducibility_certified_up_to_degree_4():
+    with pytest.raises(ValueError, match=r"degree must be in \[2, 4\], got 5"):
+        AlgebraicAlpha((2, 0, 0, 0, 0, -1), (Fraction(4, 5), Fraction(9, 10)))
     with pytest.raises(ValueError, match="certified up to degree 4"):
-        AlgebraicAlpha((2, 0, 0, 0, 0, -1), (Fraction(4, 5), Fraction(9, 10)), degree_cap=5)
+        _is_irreducible((2, 0, 0, 0, 0, -1))
 
 
 def _poly_mul(a, b):
@@ -187,7 +188,7 @@ def test_congruence_examples():
     key = PrimeIdealKey(7, 4)
     assert congruence_check(ALPHA, key, 1, 4, 11)
     assert congruence_check(ALPHA, key, 2, 11, 60)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ValueError, match="not divisible"):
         congruence_check(ALPHA, key, 1, 4, 5)
 
 
@@ -255,7 +256,7 @@ def test_divides_and_lifts():
     assert divides(ALPHA, key, 1, 4)
     assert divides(ALPHA, key, 2, 60)
     assert not divides(ALPHA, key, 2, 4)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ValueError, match="no unique root class"):
         root_mod_power(ALPHA, PrimeIdealKey(7, 3), 1)
 
 

@@ -91,7 +91,7 @@ def test_decompose_alternating():
     assert len(dec.terms) == 1
     chi, poly = dec.terms[0]
     assert chi.modulus == 1
-    assert dict(poly) == {1: Cyclo.one(), 2: Cyclo.from_rational(-2)}
+    assert dict(poly) == {1: Cyclo.from_rational(1), 2: Cyclo.from_rational(-2)}
 
 
 def test_decompose_matches_f_eval():
@@ -125,18 +125,18 @@ def test_detect_chi4_product():
     cert = detect_pl_form(lift_rational(f, RationalShift(1, 2)))
     assert cert.verdict == IS_PL
     assert cert.character.modulus == 4
-    assert dict(cert.polynomial_support) == {1: Cyclo.one()}
+    assert dict(cert.polynomial_support) == {1: Cyclo.from_rational(1)}
 
 
 def test_detect_alternating_and_deconvolution():
     cert = detect_pl_form(coefficients_at_alpha_one(PeriodicFunction(2, (1, -1))))
     assert cert.verdict == IS_PL
     assert cert.character.modulus == 1
-    assert dict(cert.polynomial_support) == {1: Cyclo.one(), 2: Cyclo.from_rational(-2)}
+    assert dict(cert.polynomial_support) == {1: Cyclo.from_rational(1), 2: Cyclo.from_rational(-2)}
 
     cert2 = detect_pl_form(coefficients_at_alpha_one(PeriodicFunction(2, (1, -2))))
     assert cert2.verdict == IS_PL
-    assert dict(cert2.polynomial_support) == {1: Cyclo.one(), 2: Cyclo.from_rational(-3)}
+    assert dict(cert2.polynomial_support) == {1: Cyclo.from_rational(1), 2: Cyclo.from_rational(-3)}
 
 
 def test_detect_reconvolution_is_exact():
@@ -326,7 +326,7 @@ def test_verdict_shifted_character_fixture():
     assert rep.verdict == VERDICT_ZERO_FREE_FORM
     assert rep.certificate.verdict == IS_PL
     assert rep.certificate.character.modulus == 4
-    assert dict(rep.certificate.polynomial_support) == {1: Cyclo.one()}
+    assert dict(rep.certificate.polynomial_support) == {1: Cyclo.from_rational(1)}
 
 
 def test_verdict_algebraic_and_untyped():
