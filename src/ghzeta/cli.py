@@ -34,7 +34,7 @@ from .construction import (
     run_construction,
 )
 from .density import EmptyWindow, SweepReport, WindowSpec, density_sweep, private_prime_scan
-from .ideals import AlgebraicAlpha, ideal_factorize, norm_value
+from .ideals import AlgebraicAlpha, ideal_factorize, ideal_factorize_many, norm_value
 from .structure import UnsupportedAlpha, decompose, detect_pl_form, nonvanishing_verdict, rational_series
 from .zeros import (
     BoundaryTooCloseToZero,
@@ -385,8 +385,8 @@ def cmd_factor_ideals(args, seed):
     lo, hi = args.range
     cache = _cache_from(args)
     rows = []
-    for n in range(lo, hi + 1):
-        rec = ideal_factorize(alpha, n, cache)
+    for rec in ideal_factorize_many(alpha, range(lo, hi + 1), cache):
+        n = rec.n
         admissible = " ".join(f"{k.p}^{e}@{k.root}" for k, e in rec.admissible_part)
         rows.append((n, norm_value(alpha, n), admissible, rec.residual_norm))
     config = {

@@ -20,7 +20,7 @@ from math import log
 from typing import ClassVar
 
 from .arith import FactorCache
-from .ideals import AlgebraicAlpha, IdealFactorizationRecord, PrimeIdealKey, ideal_factorize
+from .ideals import AlgebraicAlpha, IdealFactorizationRecord, PrimeIdealKey, ideal_factorize_many
 
 DENSITY_FLOOR = 0.54
 DICKMAN_REFERENCE = log(2)  # 1 - rho(2): expected private-prime density for quadratic norms
@@ -97,7 +97,8 @@ class DensityReport:
 def window_records(alpha: AlgebraicAlpha, N: int, M: int,
                    cache: FactorCache | None = None):
     """Ideal factorizations of every n in (N, N+M]."""
-    return {n: ideal_factorize(alpha, n, cache) for n in range(N + 1, N + M + 1)}
+    ns = range(N + 1, N + M + 1)
+    return dict(zip(ns, ideal_factorize_many(alpha, ns, cache)))
 
 
 def private_key_candidates(record: IdealFactorizationRecord, N: int, M: int):
@@ -133,7 +134,7 @@ def private_prime_scan(alpha: AlgebraicAlpha, w: WindowSpec, *, all_classes=Fals
     if not members:
         raise EmptyWindow(f"no n = {w.b} (mod {w.q}) in ({w.N}, {end}]")
     if records is None:  # factor the members only, not the other classes
-        records = {n: ideal_factorize(alpha, n, cache) for n in members}
+        records = dict(zip(members, ideal_factorize_many(alpha, members, cache)))
     eligible = []
     smooth = 0
     for n in members:

@@ -24,6 +24,7 @@ from .arith import (
     FactorCache,
     FactorizationOverflow,
     factorize,
+    factorize_many,
     poly_derivative,
     poly_eval,
 )
@@ -326,8 +327,18 @@ def ideal_factorize(alpha: AlgebraicAlpha, n: int,
                     cache: FactorCache | None = None) -> IdealFactorizationRecord:
     """Factor (n+alpha)a into admissible degree-1 prime ideals and a
     residual ideal collecting everything outside the admissible set."""
-    value = norm_value(alpha, n)
-    fact = factorize(value, cache)
+    return _ideal_record(alpha, n, factorize(norm_value(alpha, n), cache))
+
+
+def ideal_factorize_many(alpha: AlgebraicAlpha, ns,
+                         cache: FactorCache | None = None) -> list:
+    """[ideal_factorize(alpha, n, cache) for n in ns], with the norms
+    factored together (`arith.factorize_many`)."""
+    facts = factorize_many([norm_value(alpha, n) for n in ns], cache)
+    return [_ideal_record(alpha, n, fact) for n, fact in zip(ns, facts)]
+
+
+def _ideal_record(alpha, n, fact):
     admissible = []
     residual = 1
     for p, e in fact.factors:

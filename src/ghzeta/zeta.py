@@ -110,8 +110,7 @@ EXPLORE = PrecisionProfile(15, 1e-12)
 CERTIFY = PrecisionProfile(50, 1e-40)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: object  # complex (float tier) or mpmath mpc
     abs_error_bound: float
     pole_flag: bool = False

@@ -1,16 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import fp
 
 from ghzeta import arith
 from ghzeta.arith import (
     FactorCache,
     Factorization,
+    FactorizationOverflow,
     PeriodicFunction,
     factorize,
+    factorize_many,
     is_prime,
 )
 from ghzeta.zeta import abs_coefficient
@@ -127,7 +130,14 @@ def small_prime_trial_division(n):
             out[p] = out.get(p, 0) + 1
             n //= p
     if n >= 5000**2:
-        arith._factor_into(n, out)
+        stack = [n]
+        while stack:
+            m = stack.pop()
+            if is_prime(m):
+                out[m] = out.get(m, 0) + 1
+            else:
+                d = arith._brent_rho((m,))[0]
+                stack += [d, m // d]
     elif n > 1:
         out[n] = 1
     return tuple(sorted(out.items()))
@@ -182,6 +192,89 @@ def test_factorize_bounds():
         factorize(0)
     with pytest.raises(ValueError):
         factorize(2**128 + 1)
+
+
+def brent_walk(n, c):
+    """Reference: the divisor the one-number Brent walk x -> x^2 + c from 2
+    ends on (n itself when the walk closes on n), with gcds every 128 steps
+    and the backtrack from the last block start."""
+    y, g, r, q = 2, 1, 1, 1
+    x = ys = y
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += 128
+        r <<= 1
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+    return g
+
+
+@st.composite
+def odd_composite_lanes(draw):
+    """Products of two primes from a small pool: semiprimes, prime squares
+    and lanes sharing a prime; then some lanes again as duplicates."""
+    pool = draw(st.lists(st.integers(5003, 2**31).map(next_prime), min_size=1, max_size=4))
+    pick = st.sampled_from(pool)
+    ns = draw(st.lists(st.tuples(pick, pick).map(math.prod), min_size=1, max_size=6))
+    return ns + draw(st.lists(st.sampled_from(ns), max_size=2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(odd_composite_lanes())
+def test_rho_lanes_match_one_lane_runs(ns):
+    lanes = arith._brent_rho(tuple(ns))
+    assert lanes == [arith._brent_rho((n,))[0] for n in ns]
+    assert lanes == [next(d for c in range(1, 100) if (d := brent_walk(n, c)) != n) for n in ns]
+    assert factorize_many(ns) == [factorize(n) for n in ns]
+
+
+# the c = 1 walk closes on n itself for these, so they split with c = 2, 3, ...
+RHO_RETRIES = (1389524029, 213912053, 143, 391)
+
+
+def test_rho_retry_lanes_split_inside_a_group():
+    assert all(brent_walk(n, 1) == n for n in RHO_RETRIES)
+    assert 1389524029 == 28513 * 48733 and 213912053 == 8929 * 23957
+    ordinary = [next_prime(10**6 + 7 * i) * next_prime(10**7 + 3 * i) for i in range(4)]
+    group = (ordinary[0], *RHO_RETRIES[:2], ordinary[1], ordinary[2], *RHO_RETRIES[2:], ordinary[3])
+    for n, d in zip(group, arith._brent_rho(group)):
+        assert d == next(g for c in range(1, 100) if (g := brent_walk(n, c)) != n), n
+    # the two above the trial-division bound reach rho through factorize_many
+    assert factorize_many(group[:4]) == [Factorization(n, trial_division(n)) for n in group[:4]]
+
+
+def test_factorize_many_cache_lines_match_per_n(tmp_path):
+    ns = [10199, *RHO_RETRIES[:2], 4999 * 5003, 9998, 2**61 - 1, 10199, 1,
+          next_prime(10**9) * next_prime(10**8)]
+    one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+    for path in (one, many):
+        path.write_text("9998,2^1 4999^1\n")  # a hit among the misses
+    per_n = FactorCache(one)
+    expect = [factorize(n, per_n) for n in ns]
+    assert factorize_many(ns, FactorCache(many)) == expect
+    assert many.read_bytes() == one.read_bytes()
+
+
+@pytest.mark.parametrize("bad, error", [(0, ValueError), (-5, ValueError),
+                                        (2**128 + 1, FactorizationOverflow)])
+def test_factorize_many_rejects_a_bad_entry_like_factorize(bad, error):
+    with pytest.raises(error) as alone:
+        factorize(bad)
+    with pytest.raises(error) as in_batch:
+        factorize_many([9998, 1389524029, bad, 10199])
+    assert str(in_batch.value) == str(alone.value)
 
 
 def test_is_prime_deterministic_band():

@@ -11,7 +11,7 @@ import pytest
 
 import ghzeta
 from ghzeta.cli import SCHEMA_VERSION, main
-from ghzeta.ideals import norm_value
+from ghzeta.ideals import ideal_factorize, norm_value
 from oracles import fixtures
 
 
@@ -321,6 +321,24 @@ def test_factor_ideals_and_verify(tmp_path):
     assert code2 == 0
     vr = json.loads((tmp_path / "verify.json").read_text())
     assert vr["results"]["ok"] and vr["results"]["checked"] >= 1
+
+
+def test_factor_ideals_range_rows_match_per_n_records(tmp_path):
+    # the rows come from one window-level call; each must be the row the
+    # one-number path gives, and verify re-derives every row that way
+    lo, hi = 999999000, 999999040
+    code, payload = run_cli(["factor-ideals", "--minpoly", "1,2,-1", "--interval", "0.4,0.5",
+                             "--range", f"{lo}..{hi}"], tmp_path)
+    assert code == 0
+    alpha = fixtures()
+    expect = []
+    for n in range(lo, hi + 1):
+        rec = ideal_factorize(alpha, n)
+        adm = " ".join(f"{k.p}^{e}@{k.root}" for k, e in rec.admissible_part)
+        expect.append([n, norm_value(alpha, n), adm, rec.residual_norm])
+    assert payload["results"]["rows"] == expect
+    assert main(["verify", str(tmp_path / "report.json"), "--fraction", "1",
+                 "--output", str(tmp_path / "verify.json")]) == 0
 
 
 @pytest.mark.parametrize("minpoly, interval", [

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ghzeta import density
-from ghzeta.arith import FactorCache
+from ghzeta.arith import FactorCache, factorize
 from ghzeta.density import (
     DICKMAN_REFERENCE,
     EmptyWindow,
@@ -14,7 +14,7 @@ from ghzeta.density import (
     private_prime_scan,
     window_records,
 )
-from ghzeta.ideals import ideal_factorize
+from ghzeta.ideals import ideal_factorize, ideal_factorize_many, norm_value
 from oracles import divides, fixtures, rescan_soundness
 
 ALPHA = fixtures()
@@ -136,11 +136,25 @@ def test_scan_factors_members_only(monkeypatch, q, b):
     full = private_prime_scan(ALPHA, w, records=window_records(ALPHA.with_q(q), w.N, w.M))
     factored = []
 
-    def counted(alpha, n, cache=None):
-        factored.append(n)
-        return ideal_factorize(alpha, n, cache)
+    def counted(alpha, ns, cache=None):
+        factored.extend(ns)
+        return ideal_factorize_many(alpha, ns, cache)
 
-    monkeypatch.setattr(density, "ideal_factorize", counted)
+    monkeypatch.setattr(density, "ideal_factorize_many", counted)
     rep = private_prime_scan(ALPHA, w)
     assert sorted(factored) == w.members()
     assert rep.eligible == full.eligible and rep.smooth_count == full.smooth_count
+
+
+def test_window_cache_file_matches_per_n_factorize(tmp_path):
+    # a window's norms reach rho in lockstep groups, but its records and
+    # cache lines are those of factoring the members one by one, in order
+    N, M = 10**9, 40
+    members = range(N + 1, N + M + 1)
+    window, per_n = tmp_path / "window.csv", tmp_path / "per_n.csv"
+    records = window_records(ALPHA, N, M, FactorCache(window))
+    cache = FactorCache(per_n)
+    for n in members:
+        factorize(norm_value(ALPHA, n), cache)
+    assert window.read_bytes() == per_n.read_bytes()
+    assert list(records.values()) == [ideal_factorize(ALPHA, n) for n in members]
