@@ -6,6 +6,10 @@ Argument increments are accumulated along adaptively refined boundary
 samples; a step is accepted only when the local phase change stays below
 pi/2, which pins the branch.  Each winding cell is refined (`_refine`)
 into located zeros plus an `unresolved` count that add up to its winding.
+
+A search may skip cells certified zero-free: the Dirichlet polynomial scan
+bounds |P| from below over each cell (`_polynomial_zero_free`) and winds
+only the cells it cannot bound, which gives the same zeros.
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ class Rectangle:
 
 @dataclass
 class WindingResult:
+    """The winding of F around one cell.  A cell that `zero_search` skipped
+    as certified zero-free has `samples` 0, and its `min_boundary_modulus`
+    is the certified lower bound on |F| over the whole cell."""
+
     rectangle: Rectangle
     winding: int
     min_boundary_modulus: float
@@ -80,42 +88,52 @@ def winding_number(series, rect: Rectangle) -> WindingResult:
     close up to a multiple of 2*pi within 1e-6; the winding is that
     multiple.  Raises BoundaryTooCloseToZero when |F| dips under 1e-12 of
     the boundary maximum or a phase jump survives 20 subdivision levels.
+
+    Each edge is first sampled at `_edge_steps` equal steps; only a step
+    whose phase change is not under pi/2 (or that meets an exact zero) is
+    handed to `_tracked_delta` to be halved.
     """
     corners = rect.corners()
-    state = {"min": float("inf"), "max": 0.0, "count": 0}
-
-    def probe(z):
-        v = complex(series(z))
-        m = abs(v)
-        state["min"] = min(state["min"], m)
-        state["max"] = max(state["max"], m)
-        state["count"] += 1
-        return v
-
-    vals = [probe(z) for z in corners]
+    probed = [complex(series(z)) for z in corners]
     total = 0.0
     for i in range(4):
         z0, z1 = corners[i], corners[(i + 1) % 4]
-        v0, v1 = vals[i], vals[(i + 1) % 4]
-        n0 = max(8, int(abs(z1 - z0) * 8))
-        zs = [z0 + (z1 - z0) * k / n0 for k in range(1, n0)]
-        pts = [(z0, v0)] + [(z, probe(z)) for z in zs] + [(z1, v1)]
-        for (za, va), (zb, vb) in zip(pts, pts[1:]):
-            total += _tracked_delta(probe, za, zb, va, vb, 0, rect, state)
+        n0 = _edge_steps(abs(z1 - z0))
+        zs = [z0] + [z0 + (z1 - z0) * k / n0 for k in range(1, n0)] + [z1]
+        inner = [complex(series(z)) for z in zs[1:-1]]
+        probed += inner
+        vs = [probed[i]] + inner + [probed[(i + 1) % 4]]
+        for k in range(n0):
+            va, vb = vs[k], vs[k + 1]
+            if va and vb:
+                d = cmath.phase(vb / va)
+                if -_PHASE_CAP < d < _PHASE_CAP:
+                    total += d
+                    continue
+            total += _tracked_delta(series, probed, zs[k], zs[k + 1], va, vb, 0, rect)
 
-    if state["min"] < REL_MODULUS_FLOOR * state["max"]:
+    moduli = [abs(v) for v in probed]
+    lo, hi = min(moduli), max(moduli)
+    if lo < REL_MODULUS_FLOOR * hi:
         raise BoundaryTooCloseToZero(
-            f"min |F| = {state['min']:.3e} on the boundary of {rect.as_tuple()}"
+            f"min |F| = {lo:.3e} on the boundary of {rect.as_tuple()}"
         )
     k = round(total / (2 * math.pi))
     if abs(total - 2 * math.pi * k) > 1e-6:
         raise BoundaryTooCloseToZero(
             f"argument failed to close around {rect.as_tuple()}: {total}"
         )
-    return WindingResult(rect, int(k), state["min"], state["count"])
+    return WindingResult(rect, int(k), lo, len(probed))
 
 
-def _tracked_delta(probe, za, zb, va, vb, depth, rect, state):
+def _edge_steps(length):
+    """Number of equal first-pass steps `winding_number` takes along an edge."""
+    return max(8, int(length * 8))
+
+
+def _tracked_delta(series, probed, za, zb, va, vb, depth, rect):
+    """Phase change from za to zb, halving the step until each piece turns
+    by less than pi/2; every midpoint value is appended to `probed`."""
     if va == 0 or vb == 0:
         raise BoundaryTooCloseToZero(f"exact boundary zero near {za} on {rect.as_tuple()}")
     d = cmath.phase(vb / va)
@@ -126,9 +144,10 @@ def _tracked_delta(probe, za, zb, va, vb, depth, rect, state):
             f"phase jump persisted after {MAX_EDGE_DEPTH} subdivisions near {za}"
         )
     zm = (za + zb) / 2
-    vm = probe(zm)
-    return (_tracked_delta(probe, za, zm, va, vm, depth + 1, rect, state)
-            + _tracked_delta(probe, zm, zb, vm, vb, depth + 1, rect, state))
+    vm = complex(series(zm))
+    probed.append(vm)
+    return (_tracked_delta(series, probed, za, zm, va, vm, depth + 1, rect)
+            + _tracked_delta(series, probed, zm, zb, vm, vb, depth + 1, rect))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +185,17 @@ def _evaluated_once(series):
     return F
 
 
-def zero_search(series, region: Rectangle, grid=(4, 8)) -> ZeroSearchResult:
+def zero_search(series, region: Rectangle, grid=(4, 8), zero_free=None) -> ZeroSearchResult:
     """Cover the region with a grid of cells, wind each, and refine every
     winding cell to its zeros.  Cells whose boundary passes too close to a
     zero are retried with slight outward padding, so zeros sitting on grid
     lines (or on the region boundary itself) are still caught; duplicates
     from overlapping padded cells are merged at the end.
+
+    `zero_free(cell)`, when given, returns a certified lower bound m on
+    |F| over the closed cell, or None.  A cell with a bound is not wound:
+    it is recorded as `WindingResult(cell, 0, m, 0)`.  The predicate must
+    only bound cells that `winding_number` would wind to 0 without raising.
 
     Adjacent cells share corners and edge samples, so the whole search
     reads `series` through one table (`_evaluated_once`): each distinct
@@ -193,6 +217,10 @@ def zero_search(series, region: Rectangle, grid=(4, 8)) -> ZeroSearchResult:
                 region.sigma_min + i * dx, region.sigma_min + (i + 1) * dx,
                 region.t_min + j * dy, region.t_min + (j + 1) * dy,
             )
+            m = zero_free(cell) if zero_free else None
+            if m is not None:
+                cells.append(WindingResult(cell, 0, m, 0))
+                continue
             res = _wind_with_retries(series, cell, dx, dy)
             if res.winding > 0:
                 zeros, res.unresolved = _refine(series, res.rectangle, res.winding)
@@ -344,6 +372,45 @@ def polynomial_sigma_bound(poly: dict, margin: float = 0.5) -> float:
     return 80.0
 
 
+_ZERO_FREE_FLOOR = 1e-6  # least m / M for which a cell is excluded
+_ZERO_FREE_TURN = 4.0  # most phase change h*L/m of a first-pass step (< 3*pi/2)
+_BOUND_ROUNDING = 1e-13  # of M: float rounding of the bound and of P's samples
+
+
+def _polynomial_zero_free(poly: dict):
+    """cell -> a certified lower bound m on |P| over the closed cell, or
+    None, for P(s) = sum c_n n^-s; the `zero_free` seam of `zero_search`.
+
+    Over sigma in [s0, s1], |P| >= n_i^-s1 * g_i for each index i, where
+    g_i = |c_i| - sum_{j != i} |c_j| max((n_i/n_j)^s0, (n_i/n_j)^s1); m is
+    the best such bound with positive g_i, less a rounding allowance.  With
+    M = sum |c_n| n^-s0 >= |P| and L = sum |c_n| log n n^-s0 >= |P'|, a cell
+    is bounded only when m >= 1e-6 M and h L <= 4 m, h being the longest
+    first-pass step of `winding_number`.  Then |P| stays far above its
+    1e-12 M floor, and each step turns by at most 4 < 3 pi / 2, so every
+    phase it accepts is the true change (at most two halvings) and the
+    changes close to 0: `winding_number` would return winding 0."""
+    items = sorted((n, abs(complex(c))) for n, c in poly.items())
+
+    def bound(cell):
+        s0, s1 = cell.sigma_min, cell.sigma_max
+        M = sum(a * n ** -s0 for n, a in items)
+        L = sum(a * math.log(n) * n ** -s0 for n, a in items)
+        m = -math.inf
+        for ni, ai in items:
+            g = ai - sum(a * max((ni / n) ** s0, (ni / n) ** s1) for n, a in items if n != ni)
+            if g > 0:
+                m = max(m, ni ** -s1 * g)
+        m -= _BOUND_ROUNDING * M
+        w, h = s1 - s0, cell.t_max - cell.t_min
+        step = max(w / _edge_steps(w), h / _edge_steps(h))
+        if m >= _ZERO_FREE_FLOOR * M and step * L <= _ZERO_FREE_TURN * m:
+            return m
+        return None
+
+    return bound
+
+
 def dirichlet_polynomial_zeros(poly: dict, t_max: float = 30.0, sigma_min: float = 1.01):
     """All zeros of the Dirichlet polynomial in [sigma_min, sigma_bound] x
     [0, t_max], found by winding; returns (zeros, region tuple).  Raises
@@ -361,7 +428,7 @@ def dirichlet_polynomial_zeros(poly: dict, t_max: float = 30.0, sigma_min: float
     region = Rectangle(sigma_min, sigma_hi, -pad_below, t_max)
     nx = max(2, int((sigma_hi - sigma_min) / 0.4))
     ny = max(4, int((t_max + pad_below) / 1.5))
-    result = zero_search(polynomial_evaluator(poly), region, (nx, ny))
+    result = zero_search(polynomial_evaluator(poly), region, (nx, ny), _polynomial_zero_free(poly))
     zeros = [z for z in result.zeros if z.imag >= -1e-6] if real_coeffs else result.zeros
     stuck = next((c for c in result.cells if c.unresolved), None)
     if stuck and not zeros:  # P vanishes there, so "no zeros found" would be false

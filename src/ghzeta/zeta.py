@@ -217,7 +217,7 @@ def _em_head(ctx, s, a, T):
     _MAX_HEAD_TERMS before summing anything."""
     if T > _MAX_HEAD_TERMS:
         raise PrecisionExhausted(
-            f"Euler-Maclaurin head of {T} terms exceeds the cap of {_MAX_HEAD_TERMS}"
+            f"Euler-Maclaurin head of {T:.3e} terms exceeds the cap of {_MAX_HEAD_TERMS}"
             f" at s={complex(s)}"
         )
     head = ctx.mpc(0)

@@ -4,11 +4,14 @@ Each re-derives, by a slower or more direct route, something the package
 computes: brute-force privacy, the prime ideals above p and their root
 classes mod p^v by exhaustive search, the congruence law, the norm from
 the factors and from the complex conjugates, primitive characters by
-filtering the group, and zeta(s, x) for winding.
+filtering the group, zeta(s, x) for winding, and the boundary winding loop
+as it stood before `winding_number` was made lean.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 from mpmath import mp
@@ -21,6 +24,14 @@ from ghzeta.ideals import (
     PrimeIdealKey,
     is_admissible_prime,
     norm_value,
+)
+from ghzeta.zeros import (
+    _PHASE_CAP,
+    MAX_EDGE_DEPTH,
+    REL_MODULUS_FLOOR,
+    BoundaryTooCloseToZero,
+    Rectangle,
+    WindingResult,
 )
 from ghzeta.zeta import EXPLORE, PrecisionProfile, hurwitz_zeta
 
@@ -119,3 +130,56 @@ def hurwitz_evaluator(x, prof: PrecisionProfile = EXPLORE):
         return complex(hurwitz_zeta(s, x, prof).value)
 
     return F
+
+
+def winding_reference(series, rect: Rectangle) -> WindingResult:
+    """`zeros.winding_number` as a probe closure over a state dict: the
+    reference the lean loop must match bit for bit, exceptions included."""
+    corners = rect.corners()
+    state = {"min": float("inf"), "max": 0.0, "count": 0}
+
+    def probe(z):
+        v = complex(series(z))
+        m = abs(v)
+        state["min"] = min(state["min"], m)
+        state["max"] = max(state["max"], m)
+        state["count"] += 1
+        return v
+
+    vals = [probe(z) for z in corners]
+    total = 0.0
+    for i in range(4):
+        z0, z1 = corners[i], corners[(i + 1) % 4]
+        v0, v1 = vals[i], vals[(i + 1) % 4]
+        n0 = max(8, int(abs(z1 - z0) * 8))
+        zs = [z0 + (z1 - z0) * k / n0 for k in range(1, n0)]
+        pts = [(z0, v0)] + [(z, probe(z)) for z in zs] + [(z1, v1)]
+        for (za, va), (zb, vb) in zip(pts, pts[1:]):
+            total += _tracked_delta_reference(probe, za, zb, va, vb, 0, rect, state)
+
+    if state["min"] < REL_MODULUS_FLOOR * state["max"]:
+        raise BoundaryTooCloseToZero(
+            f"min |F| = {state['min']:.3e} on the boundary of {rect.as_tuple()}"
+        )
+    k = round(total / (2 * math.pi))
+    if abs(total - 2 * math.pi * k) > 1e-6:
+        raise BoundaryTooCloseToZero(
+            f"argument failed to close around {rect.as_tuple()}: {total}"
+        )
+    return WindingResult(rect, int(k), state["min"], state["count"])
+
+
+def _tracked_delta_reference(probe, za, zb, va, vb, depth, rect, state):
+    if va == 0 or vb == 0:
+        raise BoundaryTooCloseToZero(f"exact boundary zero near {za} on {rect.as_tuple()}")
+    d = cmath.phase(vb / va)
+    if abs(d) < _PHASE_CAP:
+        return d
+    if depth >= MAX_EDGE_DEPTH:
+        raise BoundaryTooCloseToZero(
+            f"phase jump persisted after {MAX_EDGE_DEPTH} subdivisions near {za}"
+        )
+    zm = (za + zb) / 2
+    vm = probe(zm)
+    return (_tracked_delta_reference(probe, za, zm, va, vm, depth + 1, rect, state)
+            + _tracked_delta_reference(probe, zm, zb, vm, vb, depth + 1, rect, state))

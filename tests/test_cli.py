@@ -176,6 +176,16 @@ def test_eval_at_huge_t_refused_quickly(tmp_path, t):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_huge_t_refusal_writes_t_in_short_form(tmp_path, capsys):
+    # the shift T >= |t| used to be printed as a 301-digit integer
+    code, payload = run_cli(["zeros", "--alpha", "1", "--f", "1", "--rect", "1.5,2,0,1e300",
+                             "--grid", "1x1"], tmp_path)
+    assert code == 2 and payload is None
+    err = capsys.readouterr().err
+    assert err.startswith("PrecisionExhausted: Euler-Maclaurin head of 1.000e+300 terms exceeds the cap")
+    assert len(err) < 150
+
+
 def test_eval_at_t_one_million_still_evaluates(tmp_path):
     code, payload = run_cli(["eval", "--sigma", "2", "--t", "1e6", "--alpha", "1", "--f", "1"],
                             tmp_path)

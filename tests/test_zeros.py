@@ -4,6 +4,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzeta.arith import PeriodicFunction
 from ghzeta import zeros as zeros_module
@@ -14,6 +15,7 @@ from ghzeta.zeros import (
     UnresolvedZeros,
     ZeroSearchResult,
     _evaluated_once,
+    _polynomial_zero_free,
     decomposition_evaluator,
     dirichlet_polynomial_zeros,
     periodic_series_evaluator,
@@ -22,7 +24,7 @@ from ghzeta.zeros import (
     winding_number,
     zero_search,
 )
-from oracles import hurwitz_evaluator
+from oracles import hurwitz_evaluator, winding_reference
 
 LOG2_3 = math.log2(3)
 T_STEP = 2 * math.pi / math.log(2)
@@ -251,10 +253,15 @@ def test_signed_zero_points_evaluated_apart():
     assert len(calls) == 2
 
 
+def planted_poly(c, d):
+    """(1 - c 2^-s)(1 - d 3^-s) as a coefficient dict."""
+    return {1: 1, 2: -c, 3: -d, 6: c * d}
+
+
 def planted_product(c, d, t_max):
     """(1 - c 2^-s)(1 - d 3^-s) for real c, d > 1, and its zeros
     log_n(a) + 2 pi i k / ln n with 0 <= t <= t_max."""
-    poly = {1: 1, 2: -c, 3: -d, 6: c * d}
+    poly = planted_poly(c, d)
     zeros = [complex(math.log(a, n), 2 * math.pi * k / math.log(n))
              for a, n in ((c, 2), (d, 3)) for k in range(int(t_max * math.log(n) / (2 * math.pi)) + 1)]
     return polynomial_evaluator(poly), zeros
@@ -305,3 +312,168 @@ def test_polynomial_scan_with_only_unresolved_cells_raises(monkeypatch):
                         lambda series, cell, winding, depth=0: ([], winding))
     with pytest.raises(UnresolvedZeros, match=r"cell \(1\.5075, 2\.005, -0\.25, 1\.2625\) winds 1 times"):
         dirichlet_polynomial_zeros({1: 1, 2: -3}, t_max=30)
+
+
+# ---------------------------------------------------------------------------
+# the lean winding loop against the reference, and zero-free cells
+
+
+COLUMN_EDGE = 2 ** (1.01 + (3.0 - 1.01) / 4)  # 1 - c 2^-s with its zeros on a column boundary
+
+
+def wind_outcome(wind, series, rect):
+    """(winding, min modulus bits, samples), or the exception's type and text."""
+    try:
+        res = wind(series, rect)
+    except BoundaryTooCloseToZero as exc:
+        return type(exc), str(exc)
+    return res.winding, struct.pack("<d", res.min_boundary_modulus), res.samples
+
+
+coefficient = st.one_of(
+    st.floats(-8, 8).filter(lambda x: abs(x) > 0.05),
+    st.builds(cmath.rect, st.floats(0.05, 8), st.floats(-math.pi, math.pi)),
+)
+
+
+@st.composite
+def poly_and_cell(draw, log_size=(-2.0, 0.7)):
+    """A 2-4 term polynomial whose terms are of one size near a drawn sigma,
+    and a rectangle in sigma > 1 at or near that sigma, so that the cell
+    often winds around or passes close to zeros."""
+    sigma = draw(st.floats(1.2, 3.5))
+    ns = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True))
+    poly = {n: draw(coefficient) * n ** sigma for n in ns}
+    s0 = max(1.01, sigma + draw(st.floats(-1.0, 0.5)))
+    t0 = draw(st.floats(-5.0, 40.0))
+    w, h = (10 ** draw(st.floats(*log_size)) for _ in range(2))
+    return poly, Rectangle(s0, s0 + w, t0, t0 + h)
+
+
+@settings(max_examples=300)
+@given(poly_and_cell())
+def test_lean_winding_matches_reference(case):
+    poly, rect = case
+    P = polynomial_evaluator(poly)
+    assert wind_outcome(winding_number, P, rect) == wind_outcome(winding_reference, P, rect)
+
+
+@pytest.mark.parametrize("series, rect", [
+    (polynomial_evaluator({1: 1, 2: -3}), Rectangle(1.5, 1.7, 0.0, 1.0)),  # edge through log2 3
+    (polynomial_evaluator({1: 1, 2: -3}), Rectangle(LOG2_3, 1.8, -0.5, 0.5)),
+    (polynomial_evaluator({1: 1, 2: -3}), Rectangle(LOG2_3, 1.8, 0.0, 0.5)),
+    (FIX, Rectangle(LOG2_3 - 0.1, LOG2_3 + 0.1, 0.0, 1.0)),
+    (FIX, Rectangle(1.3, 1.9, 0, 30)),
+    (hurwitz_evaluator(1.0), Rectangle(1.2, 2.0, 0.0, 30.0)),
+])
+def test_lean_winding_matches_reference_on_fixed_cells(series, rect):
+    assert wind_outcome(winding_number, series, rect) == wind_outcome(winding_reference, series, rect)
+
+
+@pytest.mark.parametrize("poly, kinds", [
+    ({1: 1, 2: -COLUMN_EDGE}, {0, 1, BoundaryTooCloseToZero}),
+    ({1: 1, 2: -6, 4: 9}, {0, 1, 2}),
+    ({1: 1, 2: -3 * cmath.exp(1j * 0.8)}, {0, 1}),
+])
+def test_lean_winding_matches_reference_through_whole_scans(monkeypatch, poly, kinds):
+    # every cell, padded retry and refinement quadrant of a scan that winds
+    # every cell, with its zeros on cell edges and inside cells
+    outcomes = []
+
+    def both(series, rect):
+        lean = wind_outcome(winding_number, series, rect)
+        assert lean == wind_outcome(winding_reference, series, rect)
+        outcomes.append(lean)
+        return winding_number(series, rect)
+
+    monkeypatch.setattr(zeros_module, "winding_number", both)
+    monkeypatch.setattr(zeros_module, "_polynomial_zero_free", lambda poly: lambda cell: None)
+    try:
+        dirichlet_polynomial_zeros(poly, t_max=12)
+    except UnresolvedZeros:
+        pass
+    assert {o[0] for o in outcomes} == kinds
+
+
+def test_double_zero_cell_still_aliases_in_both_loops():
+    # (1 - 3 2^-s)^2 has a double zero at log2 3 inside this cell; both
+    # loops read 1 (the known aliasing of 8 samples per edge), not 2
+    P = polynomial_evaluator({1: 1, 2: -6, 4: 9})
+    rect = Rectangle(1.525, 1.6, -0.3125, 0.375)
+    lean = wind_outcome(winding_number, P, rect)
+    assert lean == wind_outcome(winding_reference, P, rect)
+    assert lean[0] == 1
+
+
+def assert_exclusion_sound(poly, rect):
+    m = _polynomial_zero_free(poly)(rect)
+    if m is None:
+        return False
+    res = winding_reference(polynomial_evaluator(poly), rect)
+    assert res.winding == 0
+    assert res.min_boundary_modulus >= m * (1 - 1e-12)
+    return True
+
+
+@settings(max_examples=200)
+@given(poly_and_cell(log_size=(-5.0, 0.5)))
+def test_zero_free_exclusion_is_sound(case):
+    assert_exclusion_sound(*case)
+
+
+@given(st.sampled_from([2, 3, 5]), coefficient, st.floats(-6, -1), st.booleans(),
+       st.floats(-5.0, 40.0), st.floats(-5.0, -0.7), st.floats(-5.0, 0.0))
+def test_zero_free_exclusion_is_sound_next_to_the_zero_line(n, c, log_gap, right, t0, log_w, log_h):
+    # 1 - c n^-s vanishes on sigma = log_n |c|; put the cell 10^log_gap
+    # to its right or left, with |c| chosen so that line is in sigma > 1
+    c = c / abs(c) * n ** (1.5 + abs(c) / 4)
+    line = math.log(abs(c), n)
+    w, h = 10 ** log_w, 10 ** log_h
+    s0 = line + 10 ** log_gap if right else line - 10 ** log_gap - w
+    assert_exclusion_sound({1: 1, n: -c}, Rectangle(s0, s0 + w, t0, t0 + h))
+
+
+def test_zero_free_exclusion_reaches_its_floors():
+    # small cells beside 1 - 3 2^-s are excluded down to m ~ 1e-6 M, and
+    # each one is sound; a cell straddling the zero line never is
+    poly = {1: 1, 2: -3}
+    excluded = [assert_exclusion_sound(poly, Rectangle(LOG2_3 + g, LOG2_3 + g + 1e-5, 3.0, 3.0 + 1e-5))
+                for g in (1e-7, 2e-6, 4e-6, 1e-4)]
+    assert excluded == [False, False, True, True]  # m / M ~ 0.7e-6, 1.4e-6 at 2e-6, 4e-6
+    assert _polynomial_zero_free(poly)(Rectangle(LOG2_3 - 1e-3, LOG2_3 + 1e-3, 0.0, 1e-3)) is None
+
+
+@pytest.mark.parametrize("poly, t_max", [
+    ({1: 1, 3: -4}, 30.0),
+    ({1: 1, 3: -6}, 30.0),
+    ({1: 1, 2: 3}, 30.0),
+    ({1: 1, 2: -3}, 30.0),
+    ({1: 1, 2: -3 * cmath.exp(1j * 0.8)}, 12.0),
+    (planted_poly(3.0, 3**1.3), 30.0),
+    ({1: 1, 2: -COLUMN_EDGE}, 30.0),
+])
+def test_polynomial_scan_matches_winding_every_cell(monkeypatch, poly, t_max):
+    zeros, region = dirichlet_polynomial_zeros(poly, t_max=t_max)
+    monkeypatch.setattr(zeros_module, "_polynomial_zero_free", lambda poly: lambda cell: None)
+    every_zeros, every_region = dirichlet_polynomial_zeros(poly, t_max=t_max)
+    assert region == every_region
+    bits = [struct.pack("<2d", z.real, z.imag) for z in zeros]
+    assert bits == [struct.pack("<2d", z.real, z.imag) for z in every_zeros]
+    assert zeros
+
+
+def test_polynomial_scan_winds_only_the_zero_line_column(monkeypatch):
+    seen = []
+
+    def recording(*args):
+        seen.append(zero_search(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(zeros_module, "zero_search", recording)
+    dirichlet_polynomial_zeros({1: 1, 2: -3}, t_max=30)
+    (res,) = seen
+    wound = {c.rectangle.sigma_min for c in res.cells if c.samples}
+    assert wound == {1.5075}  # the column [1.5075, 2.005] holds sigma = log2 3
+    for cell in res.cells:
+        if not cell.samples:
+            assert cell.winding == 0 and cell.min_boundary_modulus > 0
