@@ -313,11 +313,6 @@ class FactorCache:
                 with self._path.open("a") as fh:
                     fh.write(_cache_line(fact))
 
-    def entries(self):
-        """Every cached factorization, in insertion order."""
-        with self._lock:
-            return list(self._table.values())
-
     def __len__(self):
         with self._lock:
             return len(self._table)

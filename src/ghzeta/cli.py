@@ -33,7 +33,7 @@ from .construction import (
     Unreachable,
     run_construction,
 )
-from .density import EmptyWindow, SweepReport, WindowSpec, density_sweep, private_prime_scan
+from .density import EmptyWindow, WindowSpec, density_sweep, private_prime_scan
 from .ideals import AlgebraicAlpha, ideal_factorize, ideal_factorize_many, norm_value
 from .structure import UnsupportedAlpha, decompose, detect_pl_form, nonvanishing_verdict, rational_series
 from .zeros import (
@@ -54,7 +54,7 @@ from .zeta import (
     f_eval,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class SchemaMismatch(Exception):
@@ -407,20 +407,18 @@ def cmd_density(args, seed):
     theta = _number(args.theta)
     cache = _cache_from(args)
     q = args.q or 1
-    if args.b is not None:
-        w = WindowSpec(n_list[0], theta, q, args.b)
-        rep = private_prime_scan(alpha.with_q(q), w, cache=cache)
-        results = {"windows": [rep.to_json()]}
-        per_n = _per_n_rows([rep])
-    else:
-        sweep = _run_sweep(alpha, n_list, theta, q, cache, args.threads)
-        results = sweep.to_json()
-        per_n = _per_n_rows(sweep.reports)
+    if args.b is None:
+        sweep = density_sweep(alpha, n_list, theta, q, cache)
+        reports, results = sweep.reports, sweep.to_json()
+    else:  # class b of each listed window
+        reports = [private_prime_scan(alpha, WindowSpec(N, theta, q, args.b), cache=cache)
+                   for N in n_list]
+        results = {"windows": [rep.to_json() for rep in reports]}
     if args.csv:
-        _write_csv(args.csv, ("N", "q", "b", "n", "eligible", "p", "root"), per_n)
+        _write_csv(args.csv, ("N", "q", "b", "n", "eligible", "p", "root"), _per_n_rows(reports))
     config = {
         "alpha": _alpha_config(alpha), "q": q, "theta": str(theta),
-        "N": n_list, "b": args.b, "threads": args.threads,
+        "N": n_list, "b": args.b,
     }
     return make_report("density", config, results, seed)
 
@@ -437,32 +435,6 @@ def _per_n_rows(reports):
                 key.p if key else "", key.root if key is not None else "",
             ))
     return rows
-
-
-def _sweep_one(job):
-    alpha, q, N, theta, known = job
-    cache = FactorCache()
-    for fact in known:
-        cache.put(fact)
-    sweep = density_sweep(alpha, [N], theta, q, cache)
-    return sweep.reports, cache.entries()[len(known):]  # what this window added
-
-
-def _run_sweep(alpha, n_list, theta, q, cache, threads):
-    if threads == 1:
-        return density_sweep(alpha, n_list, theta, q, cache)
-    from concurrent.futures import ProcessPoolExecutor
-
-    known = cache.entries()
-    jobs = [(alpha, q, N, theta, known) for N in n_list]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(_sweep_one, jobs))
-    reports = []
-    for window_reports, found in chunks:
-        reports.extend(window_reports)
-        for fact in found:  # workers keep their caches in memory; only this process writes
-            cache.put(fact)
-    return SweepReport(q, theta, reports)
 
 
 def cmd_construct_phi(args, seed):
@@ -595,11 +567,15 @@ def _recheck(payload, fraction, seed):
             if norm_value(alpha, n) != norm or expect != adm or rec.residual_norm != residual:
                 mismatches.append(n)
     elif command == "density":
-        alpha = _alpha_from_config(config)
+        alpha, theta = _alpha_from_config(config), _number(config["theta"])
         windows = results.get("windows", [])
+        classes = range(config["q"]) if config["b"] is None else [config["b"]]
+        listed = [[wj["N"], wj["b"]] for wj in windows]
+        checked += 1  # the windows the config asks for, each listed once, in order
+        if listed != [[N, b] for N in config["N"] for b in classes]:
+            mismatches.append(["windows", listed])
         for wj in sample(windows):
-            w = WindowSpec(wj["N"], _number(config["theta"]), wj["q"], wj["b"])
-            rep = private_prime_scan(alpha.with_q(wj["q"]), w)
+            rep = private_prime_scan(alpha, WindowSpec(wj["N"], theta, wj["q"], wj["b"]))
             checked += 1
             if [[n, k.p, k.root] for n, k in rep.eligible] != wj["eligible"]:
                 mismatches.append((wj["N"], wj["b"]))
@@ -709,7 +685,6 @@ def build_parser():
     p.add_argument("--theta", required=True, help="window ratio, e.g. 1/1000000")
     p.add_argument("--N", required=True, help="comma-separated window starts")
     p.add_argument("--b", type=int, default=None, help="single residue class")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--csv", help="per-n outcome CSV")
 
     p = sub.add_parser("construct-phi", help="run the phase construction")

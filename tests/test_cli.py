@@ -110,7 +110,6 @@ ALPHA_FLAGS = ["--minpoly", "1,2,-1", "--interval", "0.4,0.5"]
     ["construct-phi", *ALPHA_FLAGS, "--digits", "0"],
     ["construct-phi", *ALPHA_FLAGS, "--n1", "0"],
     ["construct-phi", *ALPHA_FLAGS, "--stages", "0"],
-    ["density", *ALPHA_FLAGS, "--theta", "1/10", "--N", "100", "--threads", "0"],
 ])
 def test_non_positive_count_is_usage_error(tmp_path, capsys, args):
     # zero used to fall back to the default silently (q = 1, 50 digits, the profile's N1)
@@ -564,28 +563,48 @@ def test_determinism_tolerates_timestamp(tmp_path):
     assert p1["seed"] == 5
 
 
-def test_density_threads_deterministic(tmp_path):
+def test_density_cache_round_trip(tmp_path, monkeypatch):
+    monkeypatch.delenv("HURWITZ_CACHE", raising=False)
     base = ["density", "--minpoly", "1,2,-1", "--interval", "0.4,0.5", "--q", "2",
             "--theta", "1/100", "--N", "2000,4000"]
-    _, seq = run_cli(base + ["--threads", "1"], tmp_path, "seq.json")
-    _, par = run_cli(base + ["--threads", "2"], tmp_path, "par.json")
-    seq["config"].pop("threads")
-    par["config"].pop("threads")
-    assert canonical(seq) == canonical(par)
-    # the parallel path extends the cache like the sequential one ...
-    seq_cache, par_cache = tmp_path / "seq.csv", tmp_path / "par.csv"
-    run_cli(base + ["--threads", "1", "--cache", str(seq_cache)], tmp_path, "seq.json")
-    _, par = run_cli(base + ["--threads", "2", "--cache", str(par_cache)], tmp_path, "par.json")
-    lines = set(seq_cache.read_text().splitlines())
-    assert lines and set(par_cache.read_text().splitlines()) == lines
-    par["config"].pop("threads")
-    assert canonical(seq) == canonical(par)
-    # ... and a warm cache gains no duplicate line and changes no report
-    before = seq_cache.read_text()
-    _, warm = run_cli(base + ["--threads", "2", "--cache", str(seq_cache)], tmp_path, "warm.json")
-    assert seq_cache.read_text() == before
-    warm["config"].pop("threads")
-    assert canonical(seq) == canonical(warm)
+    code, plain = run_cli(base, tmp_path, "plain.json")
+    assert code == 0
+    cache = tmp_path / "factors.csv"
+    code, cold = run_cli(base + ["--cache", str(cache)], tmp_path, "cold.json")
+    assert code == 0
+    before = cache.read_text()
+    assert before.splitlines() and all(before.splitlines())
+    # a warm cache gains no duplicate line and changes no report
+    code, warm = run_cli(base + ["--cache", str(cache)], tmp_path, "warm.json")
+    assert code == 0
+    assert cache.read_text() == before
+    assert canonical(warm) == canonical(cold) == canonical(plain)
+
+
+def test_density_single_class_scans_every_window_start(tmp_path):
+    args = ["density", *ALPHA_FLAGS, "--q", "2", "--b", "1", "--theta", "1/1000",
+            "--N", "100000,200000"]
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0
+    assert [(w["N"], w["b"]) for w in payload["results"]["windows"]] == [(100000, 1), (200000, 1)]
+    assert main(["verify", str(tmp_path / "report.json"), "--fraction", "1",
+                 "--output", str(tmp_path / "v.json")]) == 0
+
+
+def test_verify_density_catches_dropped_window(tmp_path):
+    args = ["density", *ALPHA_FLAGS, "--q", "2", "--theta", "1/100", "--N", "2000,4000"]
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0
+    assert main(["verify", str(tmp_path / "report.json"), "--fraction", "1",
+                 "--output", str(tmp_path / "v.json")]) == 0
+    del payload["results"]["windows"][1]  # (2000, 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(bad), "--fraction", "1", "--output", str(tmp_path / "v2.json")])
+    assert exc.value.code == 2
+    mismatches = json.loads((tmp_path / "v2.json").read_text())["results"]["mismatches"]
+    assert mismatches == [["windows", [[2000, 0], [4000, 0], [4000, 1]]]]
 
 
 def test_construct_phi_canonical_single_stage(tmp_path):
