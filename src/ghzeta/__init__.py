@@ -25,12 +25,9 @@ from .ideals import (
 )
 from .structure import (
     DecompositionResult,
-    LiftedSeries,
     PLCertificate,
-    RationalShift,
     detect_pl_form,
     decompose,
-    lift_rational,
     nonvanishing_verdict,
 )
 from .zeros import Rectangle, WindingResult, winding_number, zero_search

@@ -33,7 +33,7 @@ from .construction import (
     Unreachable,
     run_construction,
 )
-from .density import EmptyWindow, WindowSpec, density_sweep, private_prime_scan
+from .density import EmptyWindow, WindowSpec, density_sweep, private_prime_scan, sweep_results
 from .ideals import AlgebraicAlpha, ideal_factorize, ideal_factorize_many, norm_value
 from .structure import UnsupportedAlpha, decompose, detect_pl_form, nonvanishing_verdict, rational_series
 from .zeros import (
@@ -532,7 +532,7 @@ def cmd_verify(args, seed):
         )
     try:
         checked, mismatches = _recheck(payload, args.fraction, seed)
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError) as exc:
         command = payload.get("command")
         raise ValueError(f"malformed {command} report: {type(exc).__name__} {exc}") from exc
 
@@ -574,10 +574,14 @@ def _recheck(payload, fraction, seed):
         checked += 1  # the windows the config asks for, each listed once, in order
         if listed != [[N, b] for N in config["N"] for b in classes]:
             mismatches.append(["windows", listed])
+        elif config["b"] is None:  # a sweep's aggregates, from the listed windows
+            checked += 1
+            if sweep_results(config["q"], config["theta"], windows) != results:
+                mismatches.append(["aggregates"])
         for wj in sample(windows):
             rep = private_prime_scan(alpha, WindowSpec(wj["N"], theta, wj["q"], wj["b"]))
             checked += 1
-            if [[n, k.p, k.root] for n, k in rep.eligible] != wj["eligible"]:
+            if rep.to_json() != wj:
                 mismatches.append((wj["N"], wj["b"]))
     elif command == "eval":
         digits = config["digits"]

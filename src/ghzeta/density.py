@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
-from typing import ClassVar
 
 from .arith import FactorCache
 from .ideals import AlgebraicAlpha, IdealFactorizationRecord, PrimeIdealKey, ideal_factorize_many
@@ -166,36 +165,29 @@ def private_prime_scan(alpha: AlgebraicAlpha, w: WindowSpec, *, all_classes=Fals
     )
 
 
+def sweep_results(q: int, theta, windows):
+    """A sweep's report results from its window dicts, aggregates included:
+    the mean fraction, the share of windows that pass and the (N, b) of the
+    windows under the floor."""
+    return {
+        "q": q,
+        "theta": str(theta),
+        "windows": windows,
+        "mean_fraction": sum(w["fraction"] for w in windows) / len(windows),
+        "pass_fraction": sum(1 for w in windows if w["passed"]) / len(windows),
+        "flagged": [[w["N"], w["b"]] for w in windows if not w["passed"]],
+        "dickman_reference": DICKMAN_REFERENCE,
+    }
+
+
 @dataclass
 class SweepReport:
     q: int
     theta: Fraction
     reports: list  # DensityReport, in (N, b) order
-    dickman_reference: ClassVar[float] = DICKMAN_REFERENCE
-
-    @property
-    def mean_fraction(self):
-        return sum(r.fraction for r in self.reports) / len(self.reports)
-
-    @property
-    def pass_fraction(self):
-        return sum(1 for r in self.reports if r.passed) / len(self.reports)
-
-    @property
-    def flagged(self):
-        """(N, b) of the windows under the floor."""
-        return [(r.window.N, r.window.b) for r in self.reports if not r.passed]
 
     def to_json(self):
-        return {
-            "q": self.q,
-            "theta": str(self.theta),
-            "windows": [r.to_json() for r in self.reports],
-            "mean_fraction": self.mean_fraction,
-            "pass_fraction": self.pass_fraction,
-            "flagged": self.flagged,
-            "dickman_reference": self.dickman_reference,
-        }
+        return sweep_results(self.q, self.theta, [r.to_json() for r in self.reports])
 
 
 def density_sweep(alpha: AlgebraicAlpha, n_list, theta, q: int,

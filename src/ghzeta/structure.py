@@ -46,73 +46,18 @@ class UnsupportedAlpha(TypeError):
     """The shift was given without an arithmetic type tag (bare float)."""
 
 
-@dataclass(frozen=True)
-class RationalShift:
-    """alpha = a/b in lowest terms with 1 <= a < b."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not (1 <= self.a < self.b):
-            raise ValueError("need 1 <= a < b")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError("a/b must be in lowest terms")
-
-    @property
-    def fraction(self):
-        return Fraction(self.a, self.b)
-
-    def __str__(self):
-        return f"{self.a}/{self.b}"
-
-
-@dataclass(frozen=True)
-class LiftedSeries:
-    """g(m) with F(s,f,a/b) = b^s sum_{m>=1} g(m) m^(-s); g has period b*q
-    and is supported on the class a mod b."""
-
-    coeffs: PeriodicFunction
-    shift: RationalShift
-
-    def __post_init__(self):
-        a, b = self.shift.a, self.shift.b
-        for m in range(self.coeffs.period):
-            re, im = self.coeffs.exact(m)
-            if m % b != a % b and not (re == 0 and im == 0):
-                raise ValueError("lift must vanish off the support class")
-
-
-def lift_rational(f: PeriodicFunction, shift: RationalShift) -> LiftedSeries:
-    """Reindex f(n)/(n + a/b)^s over m = b n + a."""
-    a, b = shift.a, shift.b
-    period = b * f.period
-    values = []
-    for m in range(period):
-        if m % b == a % b:
-            n = (m - a) // b % f.period
-            values.append(tuple(f.exact(n)))
-        else:
-            values.append(0)
-    return LiftedSeries(PeriodicFunction(period, tuple(values)), shift)
-
-
-def coefficients_at_alpha_one(f: PeriodicFunction) -> PeriodicFunction:
-    """b(m) = f(m-1): the series F(s,f,1) = sum_{m>=1} b(m) m^(-s)."""
-    q = f.period
-    return PeriodicFunction(q, tuple(tuple(f.exact(m - 1)) for m in range(q)))
-
-
 def rational_series(f: PeriodicFunction, alpha):
-    """(series, prefactor) with F(s,f,alpha) = prefactor^s * sum_{m>=1} c(m) m^(-s)
-    for a rational alpha in (0, 1]: the coefficients c as a PeriodicFunction
-    with prefactor 1 at alpha = 1, else the LiftedSeries with prefactor b."""
-    if not isinstance(alpha, Fraction):
+    """(c, b) with F(s,f,a/b) = b^s * sum_{m>=1} c(m) m^(-s) for a rational
+    alpha = a/b in (0, 1]: m = b n + a reindexes f(n)/(n + a/b)^s, so c has
+    period b*q and vanishes off the class a mod b (alpha = 1 is b = 1)."""
+    if not isinstance(alpha, (Fraction, int)):
         raise UnsupportedAlpha("structure decisions need a rational alpha")
-    if alpha == 1:
-        return coefficients_at_alpha_one(f), 1
-    shift = RationalShift(alpha.numerator, alpha.denominator)
-    return lift_rational(f, shift), shift.b
+    alpha = Fraction(alpha)
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    a, b = alpha.numerator, alpha.denominator
+    values = [f.exact((m - a) // b) if m % b == a % b else 0 for m in range(b * f.period)]
+    return PeriodicFunction(b * f.period, tuple(values)), b
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +68,6 @@ def rational_series(f: PeriodicFunction, alpha):
 class DecompositionResult:
     """sum over primitive chi of P_chi(s) L(s,chi) reproducing the series."""
 
-    period: int
     terms: tuple  # ((DirichletCharacter primitive, ((n, canonical Cyclo), ...)), ...)
     verification_period: int
     verified: bool
@@ -152,9 +96,9 @@ def _exact_coeff(f: PeriodicFunction, m: int) -> Cyclo:
     return Cyclo.from_rational(re, im)
 
 
-def decompose(series) -> DecompositionResult:
-    """Canonical decomposition of a periodic coefficient function (or a
-    LiftedSeries) into primitive-character L-function terms.
+def decompose(g: PeriodicFunction) -> DecompositionResult:
+    """Canonical decomposition of a periodic coefficient function into
+    primitive-character L-function terms.
 
     Classes m = r (mod P) split as m = d m' with d = gcd(r, P) and
     m' = r/d (mod P/d) coprime to P/d; the coprime-class indicator expands
@@ -163,7 +107,6 @@ def decompose(series) -> DecompositionResult:
     Coefficients are in canonical form (`Cyclo.canonical`), and the result
     is verified exactly on one full common period.
     """
-    g = series.coeffs if isinstance(series, LiftedSeries) else series
     P = g.period
     acc: dict = {}
     chars_seen: dict = {}
@@ -210,11 +153,11 @@ def decompose(series) -> DecompositionResult:
         for n, _ in poly:
             supp_lcm = lcm(supp_lcm, n)
         ver_period = lcm(ver_period, chi.modulus * supp_lcm)
-    result = DecompositionResult(P, tuple(terms), ver_period, False)
+    result = DecompositionResult(tuple(terms), ver_period, False)
     for m in range(1, ver_period + 1):
         if not (result.coefficient(m) - _exact_coeff(g, m)).is_zero():
             raise AssertionError(f"decomposition failed to reproduce coefficient {m}")
-    return DecompositionResult(P, tuple(terms), ver_period, True)
+    return DecompositionResult(tuple(terms), ver_period, True)
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +201,7 @@ def _support_obstruction(g: PeriodicFunction):
     return None
 
 
-def detect_pl_form(series, decomposition: DecompositionResult | None = None) -> PLCertificate:
+def detect_pl_form(g: PeriodicFunction, decomposition: DecompositionResult | None = None) -> PLCertificate:
     """Decide whether the series is P(s) * L(s,chi).
 
     The residue obstruction is tried first.  Otherwise the verdict is read
@@ -268,12 +211,11 @@ def detect_pl_form(series, decomposition: DecompositionResult | None = None) -> 
     a full common period, with coefficients in canonical form; NotPL lists
     the conductors of the terms.
     """
-    g = series.coeffs if isinstance(series, LiftedSeries) else series
     hit = _support_obstruction(g)
     if hit is not None:
         return PLCertificate(NOT_PL, RESIDUE_OBSTRUCTION, obstruction=hit)
 
-    dec = decomposition if decomposition is not None else decompose(series)
+    dec = decomposition if decomposition is not None else decompose(g)
     if len(dec.terms) > 1:
         return PLCertificate(
             NOT_PL,
@@ -358,20 +300,6 @@ def nonvanishing_verdict(f: PeriodicFunction, alpha, zero_scan_tmax: float = 30.
                 "a unimodular completely multiplicative twist can cancel the series",
             ),
         )
-    if isinstance(alpha, float):
-        raise UnsupportedAlpha(
-            "a bare float carries no arithmetic type; pass a Fraction, "
-            "RationalShift, or AlgebraicAlpha"
-        )
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
-    if isinstance(alpha, RationalShift):
-        alpha = alpha.fraction
-    if not isinstance(alpha, Fraction):
-        raise UnsupportedAlpha(f"unsupported alpha {alpha!r}")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-
     series, prefactor = rational_series(f, alpha)
     desc = str(alpha)  # "1" or "a/b"
 

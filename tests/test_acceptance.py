@@ -23,11 +23,9 @@ from ghzeta.structure import (
     IS_PL,
     NOT_PL,
     RESIDUE_OBSTRUCTION,
-    RationalShift,
-    coefficients_at_alpha_one,
     decompose,
     detect_pl_form,
-    lift_rational,
+    rational_series,
 )
 from ghzeta.zeros import Rectangle, decomposition_evaluator, zero_search, winding_number
 from ghzeta.zeta import f_eval, hurwitz_zeta
@@ -95,13 +93,13 @@ def build_criterion1():
 
 def build_criterion2():
     report = {}
-    c1 = detect_pl_form(lift_rational(ONE, RationalShift(1, 3)))
+    c1 = detect_pl_form(rational_series(ONE, Fraction(1, 3))[0])
     report["one_third"] = {
         "verdict": c1.verdict, "proof": c1.proof_kind, "obstruction": list(c1.obstruction),
     }
     ok1 = c1.verdict == NOT_PL and c1.proof_kind == RESIDUE_OBSTRUCTION
 
-    b_alt = coefficients_at_alpha_one(PeriodicFunction(2, (1, -1)))
+    b_alt = rational_series(PeriodicFunction(2, (1, -1)), Fraction(1))[0]
     c2 = detect_pl_form(b_alt)
     poly2 = {n: complex(c) for n, c in c2.polynomial_support}
     report["alternating"] = {
@@ -116,7 +114,7 @@ def build_criterion2():
     )
 
     f_chi = PeriodicFunction(2, (1, -1))
-    g = lift_rational(f_chi, RationalShift(1, 2))
+    g = rational_series(f_chi, Fraction(1, 2))[0]
     c3 = detect_pl_form(g)
     poly3 = {n: complex(c) for n, c in c3.polynomial_support}
     report["chi4_half"] = {
@@ -143,7 +141,7 @@ def build_criterion2():
                 return False
         return True
 
-    ok4 = reconvolves(c2, b_alt) and reconvolves(c3, g.coeffs)
+    ok4 = reconvolves(c2, b_alt) and reconvolves(c3, g)
     report["reconvolution_exact"] = ok4
     return ok1 and ok2 and ok3 and ok4, report
 
@@ -214,10 +212,11 @@ def build_criterion4():
                 hits = list(range(key.root, rep.window.end + 1, key.p))
                 if hits != [n]:
                     sound = False
+        js = sweep.to_json()
         report["sweeps"][str(q)] = {
-            "mean_fraction": sweep.mean_fraction,
-            "pass_fraction": sweep.pass_fraction,
-            "flagged": sweep.flagged,
+            "mean_fraction": js["mean_fraction"],
+            "pass_fraction": js["pass_fraction"],
+            "flagged": js["flagged"],
             "windows": [
                 {
                     "N": r.window.N, "b": r.window.b, "members": r.members,
@@ -226,9 +225,9 @@ def build_criterion4():
                 }
                 for r in sweep.reports
             ],
-            "dickman_reference": sweep.dickman_reference,
+            "dickman_reference": js["dickman_reference"],
         }
-        if sweep.mean_fraction < 0.54:
+        if js["mean_fraction"] < 0.54:
             ok = False
     report["eligible_all_sound"] = sound
     return ok and sound, report
@@ -282,7 +281,7 @@ def build_criterion5():
 
 def build_criterion6():
     report = {}
-    series = coefficients_at_alpha_one(PeriodicFunction(2, (1, -2)))
+    series = rational_series(PeriodicFunction(2, (1, -2)), Fraction(1))[0]
     F = decomposition_evaluator(decompose(series))
     res = zero_search(F, Rectangle(1.3, 1.9, 0, 30), (4, 16))
     expected_ts = [0.0, T_STEP, 2 * T_STEP, 3 * T_STEP]

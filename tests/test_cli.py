@@ -607,6 +607,35 @@ def test_verify_density_catches_dropped_window(tmp_path):
     assert mismatches == [["windows", [[2000, 0], [4000, 0], [4000, 1]]]]
 
 
+def _verify_tampered(tmp_path, payload, *fraction):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(bad), *fraction, "--output", str(tmp_path / "v2.json")])
+    assert exc.value.code == 2
+    return json.loads((tmp_path / "v2.json").read_text())["results"]["mismatches"]
+
+
+def test_verify_density_checks_derived_window_fields(tmp_path):
+    args = ["density", *ALPHA_FLAGS, "--q", "2", "--theta", "1/100", "--N", "2000,4000"]
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0
+    res = payload["results"]
+    window = res["windows"][0]  # (2000, 0)
+    window.update(count_A=999, passed=not window["passed"], fraction=0.99)
+    res["mean_fraction"] = 0.99
+    mismatches = _verify_tampered(tmp_path, payload, "--fraction", "1")
+    assert mismatches == [["aggregates"], [2000, 0]]
+
+
+def test_verify_density_checks_sweep_aggregates(tmp_path):
+    args = ["density", *ALPHA_FLAGS, "--q", "2", "--theta", "1/100", "--N", "2000,4000"]
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0
+    payload["results"]["mean_fraction"] += 0.01
+    assert _verify_tampered(tmp_path, payload) == [["aggregates"]]
+
+
 def test_construct_phi_canonical_single_stage(tmp_path):
     args = ["construct-phi", "--minpoly", "1,2,-1", "--interval", "0.4,0.5",
             "--q", "1", "--profile", "canonical", "--stages", "1"]
@@ -694,6 +723,11 @@ def test_verify_rejects_other_schema(tmp_path, capsys):
      "config": {"alpha": {"kind": "algebraic", "minpoly": [1, 2, -1], "interval": ["2/5", "1/2"]},
                 "q": 1, "theta": "1/0"},
      "results": {"windows": [{"N": 100, "q": 1, "b": 0, "eligible": []}]}},
+    # a sweep with no windows has no mean to rebuild
+    {"schema": SCHEMA_VERSION, "command": "density",
+     "config": {"alpha": {"kind": "algebraic", "minpoly": [1, 2, -1], "interval": ["2/5", "1/2"]},
+                "q": 1, "theta": "1/100", "N": [], "b": None},
+     "results": {"windows": []}},
 ])
 def test_verify_malformed_report_is_usage_error(tmp_path, capsys, payload):
     bad = tmp_path / "bad.json"

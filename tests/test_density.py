@@ -114,9 +114,10 @@ def test_density_sweep_classes_and_aggregate():
     assert len(sweep.reports) == 6  # two windows x three classes
     for rep in sweep.reports:
         assert rep.threshold == pytest.approx(0.54 * rep.window.M / 3)
-    assert 0 <= sweep.mean_fraction <= 1
-    assert sweep.dickman_reference == DICKMAN_REFERENCE
-    flagged_set = {(N, b) for N, b in sweep.flagged}
+    js = sweep.to_json()
+    assert 0 <= js["mean_fraction"] <= 1
+    assert js["dickman_reference"] == DICKMAN_REFERENCE
+    flagged_set = {(N, b) for N, b in js["flagged"]}
     for rep in sweep.reports:
         assert ((rep.window.N, rep.window.b) in flagged_set) == (not rep.passed)
 

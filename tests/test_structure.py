@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
+from mpmath import mp
 
 from ghzeta.arith import PeriodicFunction
 from ghzeta.cyclo import Cyclo
@@ -12,16 +13,14 @@ from ghzeta.structure import (
     MULTIPLE_CHARACTERS,
     NOT_PL,
     RESIDUE_OBSTRUCTION,
-    RationalShift,
     UnsupportedAlpha,
     VERDICT_INFINITE,
     VERDICT_ZERO_FREE_FORM,
     VERDICT_ZEROS_FROM_POLY,
-    coefficients_at_alpha_one,
     decompose,
     detect_pl_form,
-    lift_rational,
     nonvanishing_verdict,
+    rational_series,
 )
 from ghzeta.zeta import f_eval
 from oracles import fixtures
@@ -33,40 +32,58 @@ def series_coefficient(dec, m):
     return complex(dec.coefficient(m))
 
 
-def test_rational_shift_validation():
-    RationalShift(1, 3)
-    with pytest.raises(ValueError):
-        RationalShift(2, 4)
-    with pytest.raises(ValueError):
-        RationalShift(3, 3)
+def test_rational_series_domain():
+    for alpha in (0, Fraction(0), Fraction(5, 3), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            rational_series(ONE, alpha)
+    for alpha in (0.5, fixtures()):
+        with pytest.raises(UnsupportedAlpha, match="structure decisions need a rational alpha"):
+            rational_series(ONE, alpha)
+    f = PeriodicFunction(2, (1, -2))
+    assert rational_series(f, 1) == rational_series(f, Fraction(1))
 
 
 def test_lift_examples():
-    g = lift_rational(ONE, RationalShift(1, 3))
-    assert [complex(*map(float, g.coeffs.exact(m))) for m in range(3)] == [0, 1, 0]
-    g2 = lift_rational(PeriodicFunction(2, (1, 2)), RationalShift(1, 2))
-    vals = [complex(*map(float, g2.coeffs.exact(m))) for m in range(4)]
+    g = rational_series(ONE, Fraction(1, 3))[0]
+    assert [complex(*map(float, g.exact(m))) for m in range(3)] == [0, 1, 0]
+    g2 = rational_series(PeriodicFunction(2, (1, 2)), Fraction(1, 2))[0]
+    vals = [complex(*map(float, g2.exact(m))) for m in range(4)]
     assert vals == [0, 1, 0, 2]
-    g3 = lift_rational(ONE, RationalShift(1, 2))
-    assert [complex(*map(float, g3.coeffs.exact(m))) for m in range(2)] == [0, 1]
+    g3 = rational_series(ONE, Fraction(1, 2))[0]
+    assert [complex(*map(float, g3.exact(m))) for m in range(2)] == [0, 1]
+
+    # the definition: c(b n + a) = f(n), and c vanishes off the class a mod b
+    f = PeriodicFunction(3, (2, Fraction(-1, 2), 1j))
+    q = f.period
+    for alpha in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)):
+        a, b = alpha.numerator, alpha.denominator
+        c, prefactor = rational_series(f, alpha)
+        assert prefactor == b and c.period == b * q
+        for n in range(3 * q):
+            assert c.exact(b * n + a) == f.exact(n)
+        for m in range(3 * b * q):
+            if m % b != a % b:
+                assert c.exact(m) == (0, 0)
 
 
 def test_lift_numeric_identity():
-    # b^s * sum g(m) m^-s must reproduce F(s, f, a/b) at s = 3
+    # b^s * sum c(m) m^-s must reproduce F(s, f, a/b) at s = 3; the lifted
+    # sum over the classes r mod P = b q is P^-s sum_r c(r) zeta(s, r/P)
     rng = random.Random(5)
-    for a, b, q in ((1, 3, 1), (1, 2, 2), (2, 5, 3)):
+    for a, b, q in ((1, 3, 1), (1, 2, 2), (2, 5, 3), (1, 1, 3)):
         vals = tuple(rng.randrange(-3, 4) or 1 for _ in range(q))
         f = PeriodicFunction(q, vals)
-        g = lift_rational(f, RationalShift(a, b))
+        c, prefactor = rational_series(f, Fraction(a, b))
+        P = c.period
         direct = f_eval(3.0, f, a / b)
-        lifted = b**3.0 * math.fsum(
-            g.coeffs(m).real * m**-3.0 for m in range(1, 10**6)
+        lifted = prefactor**3.0 * P**-3.0 * math.fsum(
+            c(r).real * float(mp.zeta(3, mp.mpf(r) / P)) for r in range(1, P + 1)
         )
         assert abs(direct.value - lifted) < 1e-10
 
 
 def test_decompose_one_third():
-    dec = decompose(lift_rational(ONE, RationalShift(1, 3)))
+    dec = decompose(rational_series(ONE, Fraction(1, 3))[0])
     by_conductor = {chi.modulus: dict(poly) for chi, poly in dec.terms}
     assert sorted(by_conductor) == [1, 3]
     assert by_conductor[1][1] == Cyclo.from_rational(Fraction(1, 2))
@@ -78,7 +95,7 @@ def test_decompose_one_third():
 def test_decompose_primitive_character_series():
     # coefficients equal to the primitive character mod 4: single L term
     f = PeriodicFunction(2, (1, -1))
-    g = lift_rational(f, RationalShift(1, 2))
+    g = rational_series(f, Fraction(1, 2))[0]
     dec = decompose(g)
     assert len(dec.terms) == 1
     chi, poly = dec.terms[0]
@@ -87,7 +104,7 @@ def test_decompose_primitive_character_series():
 
 
 def test_decompose_alternating():
-    dec = decompose(coefficients_at_alpha_one(PeriodicFunction(2, (1, -1))))
+    dec = decompose(rational_series(PeriodicFunction(2, (1, -1)), Fraction(1))[0])
     assert len(dec.terms) == 1
     chi, poly = dec.terms[0]
     assert chi.modulus == 1
@@ -102,7 +119,7 @@ def test_decompose_matches_f_eval():
         a = rng.choice([x for x in range(1, b) if math.gcd(x, b) == 1])
         vals = tuple(rng.randrange(-2, 3) or 1 for _ in range(q))
         f = PeriodicFunction(q, vals)
-        g = lift_rational(f, RationalShift(a, b))
+        g = rational_series(f, Fraction(a, b))[0]
         dec = decompose(g)
         for _ in range(3):
             s = complex(rng.uniform(1.6, 3.0), rng.uniform(-5, 5))
@@ -114,7 +131,7 @@ def test_decompose_matches_f_eval():
 
 
 def test_detect_residue_obstruction():
-    cert = detect_pl_form(lift_rational(ONE, RationalShift(1, 3)))
+    cert = detect_pl_form(rational_series(ONE, Fraction(1, 3))[0])
     assert cert.verdict == NOT_PL
     assert cert.proof_kind == RESIDUE_OBSTRUCTION
     assert cert.obstruction == (1, 3)
@@ -122,28 +139,28 @@ def test_detect_residue_obstruction():
 
 def test_detect_chi4_product():
     f = PeriodicFunction(2, (1, -1))
-    cert = detect_pl_form(lift_rational(f, RationalShift(1, 2)))
+    cert = detect_pl_form(rational_series(f, Fraction(1, 2))[0])
     assert cert.verdict == IS_PL
     assert cert.character.modulus == 4
     assert dict(cert.polynomial_support) == {1: Cyclo.from_rational(1)}
 
 
 def test_detect_alternating_and_deconvolution():
-    cert = detect_pl_form(coefficients_at_alpha_one(PeriodicFunction(2, (1, -1))))
+    cert = detect_pl_form(rational_series(PeriodicFunction(2, (1, -1)), Fraction(1))[0])
     assert cert.verdict == IS_PL
     assert cert.character.modulus == 1
     assert dict(cert.polynomial_support) == {1: Cyclo.from_rational(1), 2: Cyclo.from_rational(-2)}
 
-    cert2 = detect_pl_form(coefficients_at_alpha_one(PeriodicFunction(2, (1, -2))))
+    cert2 = detect_pl_form(rational_series(PeriodicFunction(2, (1, -2)), Fraction(1))[0])
     assert cert2.verdict == IS_PL
     assert dict(cert2.polynomial_support) == {1: Cyclo.from_rational(1), 2: Cyclo.from_rational(-3)}
 
 
 def test_detect_reconvolution_is_exact():
-    cert = detect_pl_form(coefficients_at_alpha_one(PeriodicFunction(2, (1, -2))))
+    cert = detect_pl_form(rational_series(PeriodicFunction(2, (1, -2)), Fraction(1))[0])
     chi = cert.character
     poly = dict(cert.polynomial_support)
-    b = coefficients_at_alpha_one(PeriodicFunction(2, (1, -2)))
+    b = rational_series(PeriodicFunction(2, (1, -2)), Fraction(1))[0]
     for m in range(1, cert.verification_period + 1):
         total = Cyclo.zero()
         for n, c in poly.items():
@@ -241,7 +258,7 @@ def test_planted_pl_forms_are_recovered(chi, alpha, data):
     if alpha != 1 and k % 2:
         poly = {**poly, **{2 * n: -chi[2 % k] * a for n, a in poly.items()}}
     f = planted_f(chi, poly, alpha)
-    series = coefficients_at_alpha_one(f) if alpha == 1 else lift_rational(f, RationalShift(1, 2))
+    series = rational_series(f, alpha)[0]
     cert = detect_pl_form(series)
     assert cert.verdict == IS_PL
     assert cert.character.modulus == k
@@ -269,7 +286,7 @@ def test_unit_twist_refuted_series_are_not_pl(alpha, values):
         g = [Fraction(values[(m - 1) // 2]) if m % 2 else Fraction(0) for m in range(1, 2 * q + 1)]
     assume(unit_twist_refutes(g))
     f = PeriodicFunction(q, tuple(values))
-    series = coefficients_at_alpha_one(f) if alpha == 1 else lift_rational(f, RationalShift(1, 2))
+    series = rational_series(f, alpha)[0]
     cert = detect_pl_form(series)
     assert cert.verdict == NOT_PL
     if cert.proof_kind == MULTIPLE_CHARACTERS:

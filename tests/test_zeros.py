@@ -2,13 +2,14 @@ import cmath
 import math
 import random
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzeta.arith import PeriodicFunction
 from ghzeta import zeros as zeros_module
-from ghzeta.structure import RationalShift, coefficients_at_alpha_one, decompose, lift_rational
+from ghzeta.structure import decompose, rational_series
 from ghzeta.zeros import (
     BoundaryTooCloseToZero,
     Rectangle,
@@ -32,7 +33,7 @@ T_STEP = 2 * math.pi / math.log(2)
 
 def closed_form_fixture():
     """F(s) = (1 - 3*2^-s) zeta(s), realized through the decomposition."""
-    series = coefficients_at_alpha_one(PeriodicFunction(2, (1, -2)))
+    series = rational_series(PeriodicFunction(2, (1, -2)), Fraction(1))[0]
     return decomposition_evaluator(decompose(series))
 
 
@@ -178,7 +179,7 @@ def test_exploratory_scan_near_one():
     # alpha = 1/3 close to the sigma = 1 line: the scan must run cleanly
     # and report whatever it finds (no effective bound says where the
     # first zero lives, so no location is asserted)
-    dec = decompose(lift_rational(PeriodicFunction(1, (1,)), RationalShift(1, 3)))
+    dec = decompose(rational_series(PeriodicFunction(1, (1,)), Fraction(1, 3))[0])
     F = decomposition_evaluator(dec, prefactor=3)
     res = zero_search(F, Rectangle(1.001, 1.2, 0, 8), (2, 4))
     assert len(res.cells) == 8
@@ -198,7 +199,7 @@ def test_periodic_series_evaluator_matches_decomposition():
 
 def test_lifted_decomposition_evaluator():
     # alpha = 1/3: F = 3^s * combination; compare against per-class evaluation
-    dec = decompose(lift_rational(PeriodicFunction(1, (1,)), RationalShift(1, 3)))
+    dec = decompose(rational_series(PeriodicFunction(1, (1,)), Fraction(1, 3))[0])
     F = decomposition_evaluator(dec, prefactor=3)
     direct = periodic_series_evaluator(PeriodicFunction(1, (1,)), 1 / 3)
     rng = random.Random(6)
