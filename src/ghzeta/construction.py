@@ -12,7 +12,9 @@ stays under the contraction fraction of the remaining absolute tail.
 
 All certified sums run at a fixed working precision (50 digits by
 default); phases are exact unit complex numbers at that precision and are
-recorded write-once.
+recorded write-once.  The per-member loops call libmp with mp's precision
+and rounding, the same calls the mpf/mpc operators make, so their results
+are bit-identical to the operator forms without the operators' conversions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from functools import cache
 
 from mpmath import fp, mp
 from mpmath.libmp import (
-    fnone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_mul, mpf_pos, round_nearest, to_str,
+    fnone, fone, from_int, fzero, mpc_add, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_sub_mpf,
+    mpf_abs, mpf_add, mpf_cmp, mpf_mul, mpf_pos, mpf_pow, round_nearest, to_str,
 )
 
 from .arith import FactorCache, PeriodicFunction
@@ -145,13 +148,14 @@ def bohr_solve(radii, target, ctx=fp):
     order = sorted(range(len(radii_c)), key=lambda i: (-radii_c[i], i))
     sorted_r = [radii_c[i] for i in order]
     k = len(sorted_r)
-    suffix = [0 * sorted_r[0]] * (k + 1)  # suffix[i] = sum(sorted_r[i:])
+    zero = 0 * sorted_r[0]  # a ctx zero
+    suffix = [zero] * (k + 1)  # suffix[i] = sum(sorted_r[i:])
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sorted_r[i]
 
     z = ctx.mpc(target)
     total = suffix[0]
-    inner = max(0 * total, 2 * sorted_r[0] - total)
+    inner = max(zero, 2 * sorted_r[0] - total)
     tol = 1e-9 * float(total)
     if abs(z) > total + tol or abs(z) < inner - tol:
         raise Unreachable(
@@ -180,7 +184,7 @@ def bohr_solve(radii, target, ctx=fp):
     for i in range(k - 2):
         r = sorted_r[i]
         R = suffix[i + 1]
-        inner_rest = max(0 * R, 2 * sorted_r[i + 1] - R)
+        inner_rest = max(zero, 2 * sorted_r[i + 1] - R)
         gap = abs(aw - r)
         if gap >= inner_rest:
             # on the residual's line, w - r d = (aw - r) d; a gap past the
@@ -232,6 +236,8 @@ def bohr_solve(radii, target, ctx=fp):
 
 # rounding slack of a computed unit phase, in units of its epsilon
 _UNIT_ULPS = 16
+# the raw (re, im) parts of an mpc exactly 1
+_MPC_ONE = (fone, fzero)
 
 
 @cache
@@ -268,13 +274,15 @@ class PhiAssignment:
             re, im = phase._mpc_ if isinstance(phase, mp.mpc) else (phase._mpf_, fzero)
             excess = mpf_add(mpf_add(mpf_mul(re, re), mpf_mul(im, im)), fnone)
             off = mpf_cmp(mpf_abs(excess), _unit_slack(mp.prec)) > 0
+            one = (re, im) == _MPC_ONE
         else:
             z = complex(phase)
             off = abs(z.real * z.real + z.imag * z.imag - 1) > 2 * _UNIT_ULPS * fp.eps
+            one = z == 1
         if off:
             raise ValueError(f"phase for {key} is not unimodular")
         self._table[key] = phase
-        if phase != 1:
+        if not one:
             self.nontrivial[key] = phase
 
     def ensure_one(self, key):
@@ -543,9 +551,7 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
             fb_abs = abs_coefficient(f, b, mp)
             members_a, members_b = class_a[b], class_b[b]
             # drift: everything in the class that is already pinned down
-            locked = mp.mpc(0)
-            for n in members_b:
-                locked += fb * state.phi.phase_of_record(records[n]) * weight[n]
+            locked = _twisted_sum(fb, state.phi, records, weight, members_b)
             drift = state.class_sums[b] + locked
 
             s1 = abs(state.class_sums[b])
@@ -555,11 +561,10 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
             tail += s4
             tail_bound += s4_bound
 
-            placed = mp.mpc(0)
             if fb_abs == 0:
                 for n in members_a:
                     state.phi.set_phase(eligible[n], 1)
-                target = mp.mpc(0)
+                placed = target = mp.mpc(0)
                 limit = abs(drift)
             else:
                 if abs(drift) <= s3:
@@ -567,8 +572,7 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
                 else:
                     target = -s3 * drift / abs(drift)
                 _aim_private(state, fb, eligible, records, members_a, target, weight)
-                for n in members_a:
-                    placed += fb * state.phi.phase_of_record(records[n]) * weight[n]
+                placed = _twisted_sum(fb, state.phi, records, weight, members_a)
                 limit = max(mp.mpf(0), abs(drift) - s3)
             new_sums[b] = drift + placed
             achieved = abs(new_sums[b])
@@ -616,9 +620,30 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
 
 
 def _member_weights(records, a_val, sigma):
-    """(n+alpha)^-sigma for every window member n, at the working precision."""
-    neg_sigma = -sigma
-    return {n: (n + a_val) ** neg_sigma for n in records}
+    """(n+alpha)^-sigma for every window member n, at the working precision:
+    the mpf_add and mpf_pow calls of (n + a_val) ** -sigma, on raw parts."""
+    prec, rnd = mp._prec_rounding
+    a, neg_sigma = a_val._mpf_, (-sigma)._mpf_
+    make = mp.make_mpf
+    return {n: make(mpf_pow(mpf_add(a, from_int(n), prec, rnd), neg_sigma, prec, rnd))
+            for n in records}
+
+
+def _twisted_sum(fb, phi, records, weight, members):
+    """sum of fb * phi(n) * w(n) over `members`, in their order, from 0: the
+    libmp calls of that operator form, on raw parts (phi(n) is the int 1 or
+    an mpc)."""
+    prec, rnd = mp._prec_rounding
+    fbv = fb._mpc_
+    total = (fzero, fzero)
+    for n in members:
+        ph = phi.phase_of_record(records[n])
+        if type(ph) is int:
+            t = mpc_mul_int(fbv, ph, prec, rnd)
+        else:
+            t = mpc_mul(fbv, ph._mpc_, prec, rnd)
+        total = mpc_add(total, mpc_mul_mpf(t, weight[n]._mpf_, prec, rnd), prec, rnd)
+    return mp.make_mpc(total)
 
 
 def _aim_private(state, fb, eligible, window_records, members_a, target, weight):
@@ -765,7 +790,8 @@ def _recompute_from_scratch(f, alpha_val, sigma, n1, n_top, phi, members):
     [0, p) only at m > n1, and every other assigned phase defaults to 1.
     Past n1, `members` maps each window member n to its (factorization
     record, w(n)), the weight the stages summed; phi(n) is re-read from
-    the final assignment, and a member with phi(n) = 1 adds no term.  The
+    the final assignment, and a member with phi(n) = 1 adds no term; a term
+    is the libmp calls of c * (phi(n) - 1) * w(n), on raw parts.  The
     incremental sum carries each w(n) with phi(n) and the correction with
     phi(n) - 1, so their difference compares the plain sum of the stage
     weights with mpmath's zeta: a faulty weight still shows.
@@ -774,14 +800,17 @@ def _recompute_from_scratch(f, alpha_val, sigma, n1, n_top, phi, members):
     member outside (n1, n_top] raises ValueError."""
     q = f.period
     coeff = [to_ctx(mp, f.exact(b)) for b in range(q)]
+    nonzero = [any(f.exact(b)) for b in range(q)]  # coeff[b] != 0, exactly
     with mp.extradps(max(0, int(-mp.log10(sigma - 1))) + 1):
         closed = mp.mpc(0)
         for b in range(min(q, n_top + 1)):
-            if coeff[b] != 0:
+            if nonzero[b]:
                 x = (b + alpha_val) / q
                 closed += coeff[b] * (mp.zeta(sigma, x) - mp.zeta(sigma, x + (n_top - b) // q + 1))
         closed *= mp.mpf(q) ** (-sigma)
     terms = [closed]
+    prec, rnd = mp._prec_rounding
+    make = mp.make_mpc
     for n in range(n1 + 1, n_top + 1):
         entry = members.pop(n, None)
         if entry is None:
@@ -789,12 +818,14 @@ def _recompute_from_scratch(f, alpha_val, sigma, n1, n_top, phi, members):
         rec, w = entry
         if rec.n != n:
             raise ValueError(f"from-scratch check: the record of n = {n} factors n = {rec.n}")
-        c = coeff[n % q]
-        if c == 0:
+        if not nonzero[n % q]:
             continue
         phi_n = phi.phase_of_record(rec)
-        if phi_n != 1:
-            terms.append(c * (phi_n - 1) * w)
+        # phi_n is the int 1 or an mpc (construction phases are mpc)
+        if type(phi_n) is not int and phi_n._mpc_ != _MPC_ONE:
+            d = mpc_sub_mpf(phi_n._mpc_, fone, prec, rnd)
+            t = mpc_mul(coeff[n % q]._mpc_, d, prec, rnd)
+            terms.append(make(mpc_mul_mpf(t, w._mpf_, prec, rnd)))
     if members:
         raise ValueError(
             f"from-scratch check: {len(members)} stage record(s) outside ({n1}, {n_top}], "

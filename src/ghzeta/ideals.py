@@ -13,6 +13,7 @@ are swept into the residual norm and never carry phase information.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -289,17 +290,20 @@ class AlgebraicAlpha:
         return f"root of {list(self.minpoly)} in ({self.interval[0]}, {self.interval[1]})"
 
 
-@dataclass(frozen=True)
-class PrimeIdealKey:
+class PrimeIdealKey(namedtuple("PrimeIdealKey", "p root")):
     """A degree-1 prime ideal above p, identified by the residue class of n
-    (mod p) for which it divides (n+alpha)a."""
+    (mod p) for which it divides (n+alpha)a.
 
-    p: int
-    root: int
+    A tuple (p, root): it hashes as hash((p, root)), compares and sorts by
+    (p, root), all in C, since every phase lookup of a construction hashes
+    one."""
 
-    def __post_init__(self):
-        if not 0 <= self.root < self.p:
+    __slots__ = ()
+
+    def __new__(cls, p: int, root: int):
+        if not 0 <= root < p:
             raise ValueError("root must be a canonical residue mod p")
+        return tuple.__new__(cls, (p, root))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Each re-derives, by a slower or more direct route, something the package
 computes: brute-force privacy, the prime ideals above p and their root
 classes mod p^v by exhaustive search, the congruence law, the norm from
 the factors and from the complex conjugates, primitive characters by
-filtering the group, zeta(s, x) for winding, and the boundary winding loop
-as it stood before `winding_number` was made lean.
+filtering the group, zeta(s, x) for winding, the boundary winding loop
+as it stood before `winding_number` was made lean, and the construction's
+per-member sums in the mpf/mpc operator forms they had before they called
+libmp directly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ghzeta.zeros import (
     Rectangle,
     WindingResult,
 )
-from ghzeta.zeta import EXPLORE, PrecisionProfile, hurwitz_zeta
+from ghzeta.zeta import EXPLORE, PrecisionProfile, hurwitz_zeta, to_ctx
 
 
 def rescan_soundness(alpha: AlgebraicAlpha, key: PrimeIdealKey, n: int, end: int) -> bool:
@@ -183,3 +185,40 @@ def _tracked_delta_reference(probe, za, zb, va, vb, depth, rect, state):
     vm = probe(zm)
     return (_tracked_delta_reference(probe, za, zm, va, vm, depth + 1, rect, state)
             + _tracked_delta_reference(probe, zm, zb, vm, vb, depth + 1, rect, state))
+
+
+def member_weights_reference(records, a_val, sigma):
+    """`construction._member_weights` in operator form."""
+    return {n: (n + a_val) ** -sigma for n in records}
+
+
+def twisted_sum_reference(fb, phi, records, weight, members):
+    """`construction._twisted_sum` in operator form."""
+    total = mp.mpc(0)
+    for n in members:
+        total += fb * phi.phase_of_record(records[n]) * weight[n]
+    return total
+
+
+def recompute_from_scratch_reference(f, alpha_val, sigma, n1, n_top, phi, members):
+    """The value of `construction._recompute_from_scratch` in operator form,
+    without its checks of `members`, which it leaves unchanged."""
+    q = f.period
+    coeff = [to_ctx(mp, f.exact(b)) for b in range(q)]
+    with mp.extradps(max(0, int(-mp.log10(sigma - 1))) + 1):
+        closed = mp.mpc(0)
+        for b in range(min(q, n_top + 1)):
+            if coeff[b] != 0:
+                x = (b + alpha_val) / q
+                closed += coeff[b] * (mp.zeta(sigma, x) - mp.zeta(sigma, x + (n_top - b) // q + 1))
+        closed *= mp.mpf(q) ** (-sigma)
+    terms = [closed]
+    for n in range(n1 + 1, n_top + 1):
+        rec, w = members[n]
+        c = coeff[n % q]
+        if c == 0:
+            continue
+        phi_n = phi.phase_of_record(rec)
+        if phi_n != 1:
+            terms.append(c * (phi_n - 1) * w)
+    return mp.fsum(terms)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,12 @@ from ghzeta.ideals import (
     PrimeIdealKey,
     ideal_factorize,
 )
-from oracles import fixtures
+from oracles import (
+    fixtures,
+    member_weights_reference,
+    recompute_from_scratch_reference,
+    twisted_sum_reference,
+)
 
 ALPHA = fixtures()
 ONE = PeriodicFunction(1, (1,))
@@ -260,6 +266,29 @@ def test_phi_assignment_unit_check_in_ulps(ctx):
             with pytest.raises(ValueError, match="not unimodular"):
                 phi.set_phase(PrimeIdealKey(37, 2 * i + 1), base * (1 + 40 * eps))
     assert phi.nontrivial_count() == 2
+
+
+@pytest.mark.parametrize("phase, trivial", [
+    (mp.mpc(1), True), (mp.expj(0), True), (mp.mpf(1), True), (1, True), (1 + 0j, True),
+    (mp.mpc(-1), False), (mp.mpf(-1), False), (-1, False), (1j, False),
+], ids=["mpc_1", "expj_0", "mpf_1", "int_1", "complex_1",
+        "mpc_-1", "mpf_-1", "int_-1", "complex_i"])
+def test_set_phase_decides_triviality(phase, trivial):
+    # exactly 1, whatever its type, is trivial; libmp's fnone (-1) is not
+    phi = PhiAssignment()
+    key = PrimeIdealKey(41, 5)
+    with mp.workdps(60):
+        phi.set_phase(key, phase)
+    assert phi.get(key) is phase
+    assert (key in phi.nontrivial) is not trivial
+
+
+@pytest.mark.parametrize("phase", [mp.mpc(2), mp.mpf("0.5"), mp.mpc(0), 1.5, 0])
+def test_set_phase_rejects_non_unimodular(phase):
+    phi = PhiAssignment()
+    with mp.workdps(60), pytest.raises(ValueError, match="not unimodular"):
+        phi.set_phase(PrimeIdealKey(41, 5), phase)
+    assert len(phi) == 0 and phi.nontrivial_count() == 0
 
 
 def test_aim_private_higher_prime_power():
@@ -506,6 +535,47 @@ def test_recompute_rejects_foreign_and_leftover_records():
             _recompute_from_scratch(ONE, alpha_val, sigma, 10, 11, PhiAssignment(),
                                     {11: (ideal_factorize(ALPHA, 11), mp.mpf(1)),
                                      12: (rec, mp.mpf(1))})
+
+
+def test_libmp_loops_match_operator_forms(monkeypatch):
+    # a desk q = 2 run with f = 2,-3 (two classes, a coefficient whose unit
+    # is -1): every stage's member weights, every twisted class sum and the
+    # from-scratch value carry, bit for bit, the raw parts of the mpf/mpc
+    # operator forms, at the 60 digits the stages work at
+    checked = Counter()
+    originals = {name: getattr(construction, name)
+                 for name in ("_member_weights", "_twisted_sum", "_recompute_from_scratch")}
+
+    def member_weights(records, a_val, sigma):
+        assert mp.dps == 60
+        out = originals["_member_weights"](records, a_val, sigma)
+        ref = member_weights_reference(records, a_val, sigma)
+        assert {n: w._mpf_ for n, w in out.items()} == {n: w._mpf_ for n, w in ref.items()}
+        checked["weights"] += len(out)
+        return out
+
+    def twisted_sum(fb, phi, records, weight, members):
+        out = originals["_twisted_sum"](fb, phi, records, weight, members)
+        assert out._mpc_ == twisted_sum_reference(fb, phi, records, weight, members)._mpc_
+        checked["twisted"] += len(members)
+        return out
+
+    def recompute(f, alpha_val, sigma, n1, n_top, phi, members):
+        ref = recompute_from_scratch_reference(f, alpha_val, sigma, n1, n_top, phi, members)
+        checked["nontrivial"] += sum(phi.phase_of_record(rec) != 1 for rec, _ in members.values())
+        out = originals["_recompute_from_scratch"](f, alpha_val, sigma, n1, n_top, phi, members)
+        assert out._mpc_ == ref._mpc_
+        checked["recompute"] += 1
+        return out
+
+    monkeypatch.setattr(construction, "_member_weights", member_weights)
+    monkeypatch.setattr(construction, "_twisted_sum", twisted_sum)
+    monkeypatch.setattr(construction, "_recompute_from_scratch", recompute)
+    f = PeriodicFunction(2, (2, -3))
+    report = run_construction(f, ALPHA, ConstructionProfile.desk(2), 2)[0]
+    assert report.recomputation_delta < 1e-40
+    assert checked["recompute"] == 1 and checked["nontrivial"] > 100
+    assert checked["weights"] == checked["twisted"] == report.stages[-1]["N_next"] - 8000
 
 
 def test_each_mp_value_evaluated_once(monkeypatch):

@@ -184,6 +184,25 @@ def test_ideal_factorize_examples():
     assert rec.residual_norm == 2
 
 
+@pytest.mark.parametrize("root", [-1, 7, 8])
+def test_prime_ideal_key_rejects_a_non_canonical_root(root):
+    with pytest.raises(ValueError, match="^root must be a canonical residue mod p$"):
+        PrimeIdealKey(7, root)
+
+
+def test_prime_ideal_key_contract():
+    # the key hashes as the tuple (p, root), so dicts and sets of keys keep
+    # their iteration order; it reads back, prints and sorts by (p, root)
+    pairs = [(71, 13), (7, 4), (7, 0), (2**61 - 1, 5), (3, 2), (71, 2)]
+    keys = [PrimeIdealKey(p, r) for p, r in pairs]
+    for key, (p, r) in zip(keys, pairs):
+        assert hash(key) == hash((p, r))
+        assert (key.p, key.root) == (p, r)
+        assert key == PrimeIdealKey(p, r)
+    assert repr(PrimeIdealKey(7, 4)) == "PrimeIdealKey(p=7, root=4)"
+    assert [(k.p, k.root) for k in sorted(keys)] == sorted(pairs)
+
+
 def test_congruence_examples():
     key = PrimeIdealKey(7, 4)
     assert congruence_check(ALPHA, key, 1, 4, 11)
