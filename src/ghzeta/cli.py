@@ -275,13 +275,11 @@ def _write_csv(path, header, rows):
     write_atomic(path, buf.getvalue().encode())
 
 
-def _cache_path(args):
-    return args.cache or os.environ.get("HURWITZ_CACHE")
-
-
 def _cache_from(args):
-    path = _cache_path(args)
-    return FactorCache(path) if path else FactorCache()
+    """The factor cache file of --cache or HURWITZ_CACHE, or None: a run
+    factors each norm once, so an in-memory cache would never be read back."""
+    path = args.cache or os.environ.get("HURWITZ_CACHE")
+    return FactorCache(path) if path else None
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +406,8 @@ def cmd_density(args, seed):
     cache = _cache_from(args)
     q = args.q or 1
     if args.b is None:
-        sweep = density_sweep(alpha, n_list, theta, q, cache)
-        reports, results = sweep.reports, sweep.to_json()
+        reports = density_sweep(alpha, n_list, theta, q, cache)
+        results = sweep_results(q, theta, [rep.to_json() for rep in reports])
     else:  # class b of each listed window
         reports = [private_prime_scan(alpha, WindowSpec(N, theta, q, args.b), cache=cache)
                    for N in n_list]
@@ -437,25 +435,20 @@ def _per_n_rows(reports):
     return rows
 
 
+PROFILES = {"desk": ConstructionProfile.desk, "canonical": ConstructionProfile.canonical}
+
+
 def cmd_construct_phi(args, seed):
     alpha = _parse_alpha(args)
     if not isinstance(alpha, AlgebraicAlpha):
         raise UnsupportedAlpha("construct-phi needs --minpoly/--interval")
     q = args.q or 1
-    if args.profile == "desk":
-        profile = ConstructionProfile.desk(q)
-    elif args.profile == "canonical":
-        profile = ConstructionProfile.canonical(q)
-    else:
-        raise ValueError(f"unknown profile {args.profile!r}")
+    profile = PROFILES[args.profile](q)
     if args.n1 or args.digits:
         profile = dataclasses.replace(profile, n1=args.n1 or profile.n1,
                                       digits=args.digits or profile.digits)
     f = _parse_f(args) if args.f else PeriodicFunction(q, tuple([1] * q))
-    # a run factors each window norm once, so only a cache file is ever read back
-    path = _cache_path(args)
-    cache = FactorCache(path) if path else None
-    report, state, log_rows = run_construction(f, alpha, profile, args.stages, cache)
+    results, _, log_rows = run_construction(f, alpha, profile, args.stages, _cache_from(args))
     if args.phi_csv:
         _write_csv(args.phi_csv, ("p", "root", "phase_re", "phase_im"), log_rows)
     config = {
@@ -463,7 +456,7 @@ def cmd_construct_phi(args, seed):
         "stages": args.stages, "n1": profile.n1, "digits": profile.digits,
         "f": _format_f(f),
     }
-    return make_report("construct-phi", config, report.to_json(), seed)
+    return make_report("construct-phi", config, results, seed)
 
 
 def _zero_evaluator(f, alpha):
@@ -479,6 +472,8 @@ def cmd_zeros(args, seed):
     alpha = _parse_alpha(args, allow_float=True)
     s1, s2, t1, t2 = args.rect
     rect = Rectangle(s1, s2, t1, t2)
+    if s1 <= 1:  # a pole at s = 1 would cancel the winding of a zero
+        raise ValueError("zero searches live strictly in sigma > 1")
     F = _zero_evaluator(f, alpha)
     config = {
         "alpha": _alpha_config(alpha), "f": _format_f(f),
@@ -693,7 +688,7 @@ def build_parser():
 
     p = sub.add_parser("construct-phi", help="run the phase construction")
     common(p)
-    p.add_argument("--profile", default="desk", choices=["desk", "canonical"])
+    p.add_argument("--profile", default="desk", choices=list(PROFILES))
     p.add_argument("--stages", type=_positive_int, default=1)
     p.add_argument("--n1", type=_positive_int, default=None, help="override the profile N1")
     p.add_argument("--digits", type=_positive_int, default=None)

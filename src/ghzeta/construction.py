@@ -118,9 +118,10 @@ class ConstructionProfile:
 # Bohr targeting
 
 
-def bohr_solve(radii, target, ctx=fp):
-    """Unit complex numbers u_i, one per radius in input order, with
-    sum_i r_i u_i = target exactly at working precision.
+def bohr_solve(radii, target):
+    """Unit complex numbers u_i (mpc), one per radius in input order, with
+    sum_i r_i u_i = target exactly at working precision: every step runs
+    in mp at the caller's precision, whatever the type of the inputs.
 
     The reachable set of a linkage with positive link lengths is the
     annulus max(0, 2 max r - sum r) <= |z| <= sum r.  Links are placed
@@ -144,16 +145,16 @@ def bohr_solve(radii, target, ctx=fp):
         raise ValueError("need at least one radius")
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
-    radii_c = [ctx.mpf(r) for r in radii]
+    radii_c = [mp.mpf(r) for r in radii]
     order = sorted(range(len(radii_c)), key=lambda i: (-radii_c[i], i))
     sorted_r = [radii_c[i] for i in order]
     k = len(sorted_r)
-    zero = 0 * sorted_r[0]  # a ctx zero
+    zero = mp.mpf(0)
     suffix = [zero] * (k + 1)  # suffix[i] = sum(sorted_r[i:])
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sorted_r[i]
 
-    z = ctx.mpc(target)
+    z = mp.mpc(target)
     total = suffix[0]
     inner = max(zero, 2 * sorted_r[0] - total)
     tol = 1e-9 * float(total)
@@ -176,11 +177,11 @@ def bohr_solve(radii, target, ctx=fp):
         # the rotation e of d with |aw - r e| = rho, counterclockwise
         c = (aw * aw + r * r - rho * rho) / (2 * aw * r)
         c = max(-1, min(1, c))
-        return ctx.mpc(c, ctx.sqrt(1 - c * c))
+        return mp.mpc(c, mp.sqrt(1 - c * c))
 
     # the residual w = aw * d, with d a unit (1 for a zero target)
     aw = abs(z)
-    d = z / aw if aw != 0 else ctx.mpc(1)
+    d = z / aw if aw != 0 else mp.mpc(1)
     for i in range(k - 2):
         r = sorted_r[i]
         R = suffix[i + 1]
@@ -215,13 +216,13 @@ def bohr_solve(radii, target, ctx=fp):
             # closes only when the last two links cancel
             if abs(ra - rb) > tol:
                 raise Unreachable("zero residual with unequal closing links")
-            ua, ub = ctx.mpc(1), ctx.mpc(-1)
+            ua, ub = mp.mpc(1), mp.mpc(-1)
         else:
             e = turn(aw, ra, rb)
             ua = d * e
             v = aw - ra * e
             av = abs(v)
-            ub = d * (v / av) if av != 0 else ctx.mpc(1)
+            ub = d * (v / av) if av != 0 else mp.mpc(1)
         units[k - 2], units[k - 1] = ua, ub
 
     out = [None] * k
@@ -465,39 +466,12 @@ class StageState:
     members: dict = field(default_factory=dict)
 
 
-@dataclass
-class StageReport:
-    j: int
-    n_start: int
-    window: int
-    n_next: int
-    per_class: list
-    induction_lhs: float
-    induction_rhs: float
-    induction_ok: bool
-    new_private: int
-    new_default: int
-
-    def to_json(self):
-        return {
-            "stage": self.j,
-            "N_j": self.n_start,
-            "M_j": self.window,
-            "N_next": self.n_next,
-            "classes": self.per_class,
-            "induction_lhs": self.induction_lhs,
-            "induction_rhs": self.induction_rhs,
-            "induction_ok": self.induction_ok,
-            "new_private_phases": self.new_private,
-            "new_default_phases": self.new_default,
-        }
-
-
 def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
                   profile: ConstructionProfile, cache: FactorCache | None = None):
     """One induction step: scan the next window, default the non-private
     phases, aim the private ones, and certify both the per-class bound and
-    the contraction inequality at the new truncation point."""
+    the contraction inequality at the new truncation point.  Returns the
+    next StageState and the stage's report dict."""
     q = profile.q
     n_j = state.n_current
     m_j = profile.window_length(n_j)
@@ -611,11 +585,18 @@ def stage_advance(state: StageState, alpha: AlgebraicAlpha, f: PeriodicFunction,
 
     new_state = StageState(state.j + 1, n_next, state.sigma, state.alpha_val,
                            new_sums, state.phi, (tail, tail_bound), state.members)
-    report = StageReport(
-        state.j, n_j, m_j, n_next, reports,
-        float(lhs), float(rhs), induction_ok,
-        new_private=len(private_keys), new_default=new_defaults,
-    )
+    report = {
+        "stage": state.j,
+        "N_j": n_j,
+        "M_j": m_j,
+        "N_next": n_next,
+        "classes": reports,
+        "induction_lhs": float(lhs),
+        "induction_rhs": float(rhs),
+        "induction_ok": induction_ok,
+        "new_private_phases": len(private_keys),
+        "new_default_phases": new_defaults,
+    }
     return new_state, report
 
 
@@ -648,9 +629,10 @@ def _twisted_sum(fb, phi, records, weight, members):
 
 def _aim_private(state, fb, eligible, window_records, members_a, target, weight):
     """Choose phases of the private primes so the class-A terms sum to the
-    target; the fixed factor of each term (the class coefficient `fb` times
-    the already-assigned part of phi) is rotated out before solving, unless
-    it is exactly 1."""
+    target; the fixed factor of each term (the class coefficient's unit
+    times phi(n) so far) is rotated out before solving, unless it is
+    exactly 1.  phi(n) so far omits the private key: it is first assigned
+    here, as its p exceeds n, so no earlier member shares its class."""
     fb_abs = abs(fb)
     fb_unit = fb / fb_abs
     fb_is_one = fb_unit == 1
@@ -658,24 +640,15 @@ def _aim_private(state, fb, eligible, window_records, members_a, target, weight)
     fixed_units = []  # None for a fixed factor that is exactly 1
     exps = []
     for n in members_a:
-        key = eligible[n]
         rec = window_records[n]
-        u = None  # the assigned part of phi(n), None while it is 1
-        e_key = 0
-        for k2, e in rec.admissible_part:
-            if k2 == key:
-                e_key = e
-                continue
-            ph = state.phi.nontrivial.get(k2)
-            if ph is not None:
-                u = ph**e if u is None else u * ph**e
+        u = state.phi.phase_of_record(rec)  # the int 1 or an mpc
         radii.append(fb_abs * weight[n])
-        if u is not None:
+        if type(u) is not int:
             fixed_units.append(fb_unit * u)
         else:
             fixed_units.append(None if fb_is_one else fb_unit)
-        exps.append(e_key)
-    units = bohr_solve(radii, target, ctx=mp)
+        exps.append(dict(rec.admissible_part)[eligible[n]])
+    units = bohr_solve(radii, target)
     for n, u, unit_fix, e_key in zip(members_a, units, fixed_units, exps):
         # the term r * unit_fix * phase^e must equal r * u: strip the fixed
         # unit, and for a higher prime power take an e-th root (any branch
@@ -690,43 +663,12 @@ def _aim_private(state, fb, eligible, window_records, members_a, target, weight)
 # the full run
 
 
-@dataclass
-class ConstructionReport:
-    profile_name: str
-    q: int
-    n1: int
-    sigma_str: str
-    sigma_certificate: dict
-    stages: list  # StageReport.to_json() dicts
-    final_sum_abs: float
-    final_tail_fraction: float
-    envelope_ok: bool
-    recomputation_delta: float
-    phi_nontrivial: int
-    phi_total: int
-
-    def to_json(self):
-        return {
-            "profile": self.profile_name,
-            "q": self.q,
-            "N1": self.n1,
-            "sigma": self.sigma_str,
-            "sigma_certificate": self.sigma_certificate,
-            "stages": self.stages,
-            "final_sum_abs": self.final_sum_abs,
-            "final_tail_fraction": self.final_tail_fraction,
-            "envelope_ok": self.envelope_ok,
-            "recomputation_delta": self.recomputation_delta,
-            "phi_nontrivial": self.phi_nontrivial,
-            "phi_total": self.phi_total,
-        }
-
-
 def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
                      profile: ConstructionProfile, stages: int,
                      cache: FactorCache | None = None):
     """select sigma, run `stages` induction steps, and certify the final
-    envelope; returns (ConstructionReport, StageState, phi log rows).
+    envelope; returns (results, StageState, phi log rows), where results
+    is the dict a construct-phi report carries as its `results`.
 
     The report never claims the infinite limit: it records the certified
     finite-stage contraction and the write-once phase log."""
@@ -746,7 +688,7 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
     stage_logs = []
     for _ in range(stages):
         state, rep = stage_advance(state, alpha, f, profile, cache)
-        stage_logs.append(rep.to_json())
+        stage_logs.append(rep)
 
     with mp.workdps(digits + 10):
         incremental = mp.fsum(state.class_sums)
@@ -759,18 +701,26 @@ def run_construction(f: PeriodicFunction, alpha: AlgebraicAlpha,
         sigma_str = mp.nstr(sigma, digits)
         final_abs = float(abs(incremental))
 
-    report = ConstructionReport(
-        profile.name, q, profile.n1, sigma_str,
-        {
+    results = {
+        "profile": profile.name,
+        "q": q,
+        "N1": profile.n1,
+        "sigma": sigma_str,
+        "sigma_certificate": {
             "sigma": sigma_str,
             "head": cert.head, "head_bound": cert.head_bound,
             "tail": cert.tail, "tail_bound": cert.tail_bound,
             "certified": cert.certified,
         },
-        stage_logs, final_abs, frac, bool(envelope), delta,
-        phi.nontrivial_count(), len(phi),
-    )
-    return report, state, phi.log_rows(digits)
+        "stages": stage_logs,
+        "final_sum_abs": final_abs,
+        "final_tail_fraction": frac,
+        "envelope_ok": bool(envelope),
+        "recomputation_delta": delta,
+        "phi_nontrivial": phi.nontrivial_count(),
+        "phi_total": len(phi),
+    }
+    return results, state, phi.log_rows(digits)
 
 
 def _recompute_from_scratch(f, alpha_val, sigma, n1, n_top, phi, members):

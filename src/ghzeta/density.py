@@ -180,19 +180,10 @@ def sweep_results(q: int, theta, windows):
     }
 
 
-@dataclass
-class SweepReport:
-    q: int
-    theta: Fraction
-    reports: list  # DensityReport, in (N, b) order
-
-    def to_json(self):
-        return sweep_results(self.q, self.theta, [r.to_json() for r in self.reports])
-
-
 def density_sweep(alpha: AlgebraicAlpha, n_list, theta, q: int,
-                  cache: FactorCache | None = None) -> SweepReport:
-    """Per-(N, b) density reports over a list of window starts.
+                  cache: FactorCache | None = None) -> list:
+    """Per-(N, b) DensityReports over a list of window starts, in (N, b)
+    order; sweep_results aggregates their dicts.
 
     Windows under the floor are flagged, not failed: the stage count
     where the floor provably kicks in is not effective, so the sweep
@@ -208,4 +199,4 @@ def density_sweep(alpha: AlgebraicAlpha, n_list, theta, q: int,
         for b in range(q):
             w = WindowSpec(N, theta, q, b)
             reports.append(private_prime_scan(alpha, w, records=records, cache=cache))
-    return SweepReport(q, theta, reports)
+    return reports

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from ghzeta.arith import FactorCache, PeriodicFunction
 from ghzeta.construction import ConstructionProfile, Unreachable, bohr_solve, run_construction
-from ghzeta.density import WindowSpec, density_sweep, private_prime_scan
+from ghzeta.density import WindowSpec, density_sweep, private_prime_scan, sweep_results
 from ghzeta.ideals import ideal_factorize, norm_value
 from ghzeta.structure import (
     IS_PL,
@@ -206,13 +206,13 @@ def build_criterion4():
     ok = True
     sound = True
     for q in (1, 2, 3):
-        sweep = density_sweep(ALPHA, n_list, Fraction(1, 10**6), q, cache)
-        for rep in sweep.reports:
+        reports = density_sweep(ALPHA, n_list, Fraction(1, 10**6), q, cache)
+        for rep in reports:
             for n, key in rep.eligible:
                 hits = list(range(key.root, rep.window.end + 1, key.p))
                 if hits != [n]:
                     sound = False
-        js = sweep.to_json()
+        js = sweep_results(q, Fraction(1, 10**6), [r.to_json() for r in reports])
         report["sweeps"][str(q)] = {
             "mean_fraction": js["mean_fraction"],
             "pass_fraction": js["pass_fraction"],
@@ -223,7 +223,7 @@ def build_criterion4():
                     "count_A": r.count_A, "fraction": r.fraction,
                     "smooth": r.smooth_count, "rho": r.rho,
                 }
-                for r in sweep.reports
+                for r in reports
             ],
             "dickman_reference": js["dickman_reference"],
         }
@@ -237,15 +237,15 @@ def build_criterion5():
     cache = FactorCache()
     profile = ConstructionProfile.desk(1)
     run_report, state, log_rows = run_construction(ONE, ALPHA, profile, 10, cache)
-    stages_ok = all(s["induction_ok"] for s in run_report.stages)
-    classes_ok = all(c["class_bound_ok"] for s in run_report.stages for c in s["classes"])
+    stages_ok = all(s["induction_ok"] for s in run_report["stages"])
+    classes_ok = all(c["class_bound_ok"] for s in run_report["stages"] for c in s["classes"])
     unimodular_ok = True
     with mp.workdps(60):
         for p, root, re_s, im_s in log_rows:
             z = mp.mpc(mp.mpf(re_s), mp.mpf(im_s))
             if abs(abs(z) - 1) > 1e-14:
                 unimodular_ok = False
-    recomputation_ok = run_report.recomputation_delta < 1e-40
+    recomputation_ok = run_report["recomputation_delta"] < 1e-40
 
     # canonical-profile single-stage window measurement
     w = WindowSpec(10**7, Fraction(1, 10**6), 1, 0)
@@ -259,22 +259,22 @@ def build_criterion5():
     }
 
     report = {
-        "sigma_certificate": run_report.sigma_certificate,
-        "stages": run_report.stages,
-        "final_sum_abs": run_report.final_sum_abs,
-        "envelope_ok": run_report.envelope_ok,
-        "recomputation_delta": run_report.recomputation_delta,
-        "phi_nontrivial": run_report.phi_nontrivial,
-        "phi_total": run_report.phi_total,
+        "sigma_certificate": run_report["sigma_certificate"],
+        "stages": run_report["stages"],
+        "final_sum_abs": run_report["final_sum_abs"],
+        "envelope_ok": run_report["envelope_ok"],
+        "recomputation_delta": run_report["recomputation_delta"],
+        "phi_nontrivial": run_report["phi_nontrivial"],
+        "phi_total": run_report["phi_total"],
         "canonical_window": canonical_check,
     }
     ok = (
-        run_report.sigma_certificate["certified"]
+        run_report["sigma_certificate"]["certified"]
         and stages_ok
         and classes_ok
         and unimodular_ok
         and recomputation_ok
-        and run_report.envelope_ok
+        and run_report["envelope_ok"]
     )
     return ok, report
 
@@ -313,7 +313,7 @@ def build_criterion6():
             feasible_ok = False
             continue
         resid = abs(sum(r * u for r, u in zip(radii, units)) - z)
-        worst_resid = max(worst_resid, resid / total)
+        worst_resid = max(worst_resid, float(resid) / total)
     rejected = 0
     for _ in range(200):
         k = rng.randrange(2, 13)

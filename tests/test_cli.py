@@ -202,6 +202,16 @@ def test_zeros_rect_needs_four_numbers(tmp_path, capsys, rect):
     assert "rect must be sigma1,sigma2,t1,t2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "2x4"]], ids=["plain", "grid"])
+def test_zeros_rect_reaching_sigma_1_is_refused(tmp_path, capsys, grid):
+    # plain mode used to report winding 0 here: the pole at s = 1 cancelled
+    # the zero at log2(3) inside the rectangle
+    code, payload = run_cli([*ZEROS_FLAGS, "--q", "2", "--rect", "0.5,1.9,-0.5,0.5", *grid],
+                            tmp_path)
+    assert code == 1 and payload is None
+    assert "zero searches live strictly in sigma > 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("span", ["10..0", "5", "a..b", "-1..3", "0..5..9"])
 def test_factor_ideals_bad_range_is_usage_error(tmp_path, capsys, span):
     # "10..0" used to exit 0 with no rows, "5" with "not enough values to unpack"

@@ -23,6 +23,7 @@ from ghzeta.construction import (
     select_sigma,
     stage_advance,
 )
+from ghzeta.density import WindowSpec, private_prime_scan
 from ghzeta.ideals import (
     AlgebraicAlpha,
     IdealFactorizationRecord,
@@ -91,7 +92,7 @@ def test_bohr_mp_context():
     with mp.workdps(60):
         radii = [mp.mpf(1), mp.mpf("1.5"), mp.mpf("0.25"), mp.mpf(2)]
         z = mp.mpc("1.25", "-0.5")
-        units = bohr_solve(radii, z, ctx=mp)
+        units = bohr_solve(radii, z)
         resid = abs(sum(r * u for r, u in zip(radii, units)) - z)
         assert resid < mp.mpf(10) ** -50
 
@@ -122,7 +123,7 @@ def test_bohr_desk_window_links(ctx, where):
         radii, z, total = desk_window_linkage(where)
         if ctx is fp:
             radii, z, total = [float(r) for r in radii], complex(z), float(total)
-        units = bohr_solve(radii, z, ctx=ctx)
+        units = bohr_solve(radii, z)
         reached = mp.fsum(r * mp.mpc(u) for r, u in zip(radii, units))
         resid = abs(reached - z)
     assert resid < (mp.mpf(10) ** -50 if ctx is mp else 1e-12) * total
@@ -132,7 +133,7 @@ def test_bohr_desk_window_links(ctx, where):
 def test_bohr_units_unimodular(where):
     with mp.workdps(60):
         radii, z, _ = desk_window_linkage(where)
-        units = bohr_solve(radii, z, ctx=mp)
+        units = bohr_solve(radii, z)
         assert len(units) == len(radii)
         assert max(abs(abs(u) - 1) for u in units) < mp.mpf(10) ** -50
 
@@ -144,7 +145,7 @@ def test_bohr_desk_window_links_exactly_collinear(where):
     # (a zero target has no line; its last free link must turn)
     with mp.workdps(60):
         radii, z, _ = desk_window_linkage(where)
-        units = bohr_solve(radii, z, ctx=mp)
+        units = bohr_solve(radii, z)
         d = z / abs(z)
         order = sorted(range(len(radii)), key=lambda i: (-radii[i], i))
         tilt = max(min(abs(units[i] - d), abs(units[i] + d)) for i in order[:-2])
@@ -174,7 +175,7 @@ def test_bohr_turning_links(ctx):
     with mp.workdps(60):
         eps = mp.mpf(10) ** -50 if ctx is mp else 1e-12
         for radii, z in turning_linkages():
-            units = bohr_solve(radii, z, ctx=ctx)
+            units = bohr_solve(radii, z)
             reached = mp.fsum(r * mp.mpc(u) for r, u in zip(radii, units))
             assert abs(reached - z) < eps * sum(radii)
             assert max(abs(abs(mp.mpc(u)) - 1) for u in units) < eps
@@ -340,7 +341,7 @@ def test_stage_zero_drift_cancels_exactly():
         state = StageState(1, 102, mp.mpf("1.2"), ALPHA.value(50),
                            [mp.mpc(0)], PhiAssignment())
         new_state, report = stage_advance(state, ALPHA, ONE, profile)
-        cls = report.per_class[0]
+        cls = report["classes"][0]
         assert cls["count_B"] == 0
         assert cls["achieved_abs"] < profile.tolerance
         assert abs(new_state.class_sums[0]) < profile.tolerance
@@ -358,11 +359,11 @@ def test_stage_thin_class():
 def test_desk_run_two_stages():
     cache = FactorCache()
     report, state, log = run_construction(ONE, ALPHA, ConstructionProfile.desk(1), 2, cache)
-    assert report.sigma_certificate["certified"]
-    assert all(s["induction_ok"] for s in report.stages)
-    assert all(c["class_bound_ok"] for s in report.stages for c in s["classes"])
-    assert report.recomputation_delta < 1e-40
-    assert report.envelope_ok
+    assert report["sigma_certificate"]["certified"]
+    assert all(s["induction_ok"] for s in report["stages"])
+    assert all(c["class_bound_ok"] for s in report["stages"] for c in s["classes"])
+    assert report["recomputation_delta"] < 1e-40
+    assert report["envelope_ok"]
     # phases all unimodular
     with mp.workdps(60):
         for p, root, re, im in log:
@@ -374,33 +375,54 @@ def test_desk_run_q2():
     alpha2 = ALPHA.with_q(2)
     f = PeriodicFunction(2, (1, -1))
     report, state, log = run_construction(f, alpha2, ConstructionProfile.desk(2), 2)
-    assert all(s["induction_ok"] for s in report.stages)
-    for s in report.stages:
+    assert all(s["induction_ok"] for s in report["stages"])
+    for s in report["stages"]:
         assert len(s["classes"]) == 2
+
+
+def test_desk_run_zero_coefficient_class():
+    # f(1) = 0: class 1 sums to nothing, so its private phases are pinned
+    # to 1 and the other classes' certificates hold around it
+    profile = ConstructionProfile.desk(3)
+    f = PeriodicFunction(3, (1, 0, -2))
+    report, state, _ = run_construction(f, ALPHA, profile, 2)
+    assert all(s["induction_ok"] for s in report["stages"])
+    assert all(c["class_bound_ok"] for s in report["stages"] for c in s["classes"])
+    assert report["recomputation_delta"] < 1e-40
+    assert report["envelope_ok"]
+    alpha3 = ALPHA.with_q(3)
+    for s in report["stages"]:
+        scan = private_prime_scan(alpha3, WindowSpec(s["N_j"], profile.theta, 3, 0),
+                                  all_classes=True)
+        keys = [key for n, key in scan.eligible if n % 3 == 1]
+        assert len(keys) == s["classes"][1]["count_A"] >= 5
+        for key in keys:
+            assert state.phi.get(key, None) == 1  # pinned, not defaulted
+            assert key not in state.phi.nontrivial
 
 
 def test_desk_run_exact_thirds():
     # coefficients that are not dyadic floats: certificates stay exact
     f = PeriodicFunction(2, (Fraction(1, 3), Fraction(2, 3)))
     report, _, _ = run_construction(f, ALPHA.with_q(2), ConstructionProfile.desk(2), 2)
-    assert all(s["induction_ok"] for s in report.stages)
-    assert report.recomputation_delta < 1e-40
+    assert all(s["induction_ok"] for s in report["stages"])
+    assert report["recomputation_delta"] < 1e-40
 
 
 def test_canonical_single_stage():
     report, state, _ = run_construction(ONE, ALPHA, ConstructionProfile.canonical(1), 1)
-    stage = report.stages[0]
+    stage = report["stages"][0]
     assert stage["M_j"] == 10
     assert stage["classes"][0]["count_A"] >= 5
     assert stage["induction_ok"]
     assert state.n_current == 10**7 + 10
-    assert report.recomputation_delta < 1e-40
+    assert report["recomputation_delta"] < 1e-40
 
 
 def test_ratio_check_recorded():
     report, _, _ = run_construction(ONE, ALPHA, ConstructionProfile.desk(1), 1)
-    cls = report.stages[0]["classes"][0]
-    if cls["count_B"] <= 0.46 * report.stages[0]["M_j"]:
+    cls = report["stages"][0]["classes"][0]
+    if cls["count_B"] <= 0.46 * report["stages"][0]["M_j"]:
         assert cls["ratio_check"] is True
     s3, s2 = cls["free_weight_S3"], cls["locked_weight_S2"]
     assert s3 - s2 > (s3 + s2) / 100
@@ -498,7 +520,7 @@ def test_recompute_catches_faulty_stage_weight(monkeypatch, fault):
     # the closed form does not: the fault shows in the delta (30-digit
     # weights give about 1e-33, which a 1e-20 threshold would pass)
     report = desk_run_with(monkeypatch, weight_fault=fault)
-    assert report.recomputation_delta >= 1e-40
+    assert report["recomputation_delta"] >= 1e-40
 
 
 def test_recompute_catches_phase_written_after_its_stage(monkeypatch):
@@ -512,7 +534,7 @@ def test_recompute_catches_phase_written_after_its_stage(monkeypatch):
                 state.phi.nontrivial[key] = mp.expj(1)
 
     report = desk_run_with(monkeypatch, after_stage=poke, stages=2)
-    assert report.recomputation_delta >= 1e-40
+    assert report["recomputation_delta"] >= 1e-40
 
 
 def test_recompute_names_a_missing_member(monkeypatch):
@@ -573,9 +595,9 @@ def test_libmp_loops_match_operator_forms(monkeypatch):
     monkeypatch.setattr(construction, "_recompute_from_scratch", recompute)
     f = PeriodicFunction(2, (2, -3))
     report = run_construction(f, ALPHA, ConstructionProfile.desk(2), 2)[0]
-    assert report.recomputation_delta < 1e-40
+    assert report["recomputation_delta"] < 1e-40
     assert checked["recompute"] == 1 and checked["nontrivial"] > 100
-    assert checked["weights"] == checked["twisted"] == report.stages[-1]["N_next"] - 8000
+    assert checked["weights"] == checked["twisted"] == report["stages"][-1]["N_next"] - 8000
 
 
 def test_each_mp_value_evaluated_once(monkeypatch):
@@ -592,7 +614,7 @@ def test_each_mp_value_evaluated_once(monkeypatch):
     monkeypatch.setattr(zeta, "_eval_hurwitz", counting)
     f = PeriodicFunction(2, (1, -1))
     report, _, _ = run_construction(f, ALPHA.with_q(2), ConstructionProfile.desk(2), 2)
-    assert report.envelope_ok
+    assert report["envelope_ok"]
     assert seen and len(set(seen)) == len(seen)
 
 
@@ -670,7 +692,7 @@ def test_select_sigma_certifies_at_full_precision_once(monkeypatch, q):
     monkeypatch.setattr(construction, "select_sigma", counted)
     f = PeriodicFunction(q, (1, -2, 3)[:q])
     report, _, _ = run_construction(f, ALPHA.with_q(q), ConstructionProfile.desk(q), 2)
-    assert report.sigma_certificate["certified"]
+    assert report["sigma_certificate"]["certified"]
     assert during == [2 * q]
     assert len(seen) == 2 * q + 2 * q  # and one class_tail per class and stage
 

@@ -12,6 +12,7 @@ from ghzeta.density import (
     density_sweep,
     private_key_candidates,
     private_prime_scan,
+    sweep_results,
     window_records,
 )
 from ghzeta.ideals import ideal_factorize, ideal_factorize_many, norm_value
@@ -110,15 +111,15 @@ def test_report_shape_and_rho():
 
 def test_density_sweep_classes_and_aggregate():
     cache = FactorCache()
-    sweep = density_sweep(ALPHA, [3000, 5000], Fraction(1, 50), 3, cache)
-    assert len(sweep.reports) == 6  # two windows x three classes
-    for rep in sweep.reports:
+    reports = density_sweep(ALPHA, [3000, 5000], Fraction(1, 50), 3, cache)
+    assert len(reports) == 6  # two windows x three classes
+    for rep in reports:
         assert rep.threshold == pytest.approx(0.54 * rep.window.M / 3)
-    js = sweep.to_json()
+    js = sweep_results(3, Fraction(1, 50), [rep.to_json() for rep in reports])
     assert 0 <= js["mean_fraction"] <= 1
     assert js["dickman_reference"] == DICKMAN_REFERENCE
     flagged_set = {(N, b) for N, b in js["flagged"]}
-    for rep in sweep.reports:
+    for rep in reports:
         assert ((rep.window.N, rep.window.b) in flagged_set) == (not rep.passed)
 
 
