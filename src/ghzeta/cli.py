@@ -43,6 +43,7 @@ from .zeros import (
     UnresolvedZeros,
     decomposition_evaluator,
     periodic_series_evaluator,
+    require_half_plane,
     winding_number,
     zero_search,
 )
@@ -368,12 +369,11 @@ def cmd_classify(args, seed):
 
 
 def _classify_report(f, alpha, tmax, seed):
-    report = nonvanishing_verdict(f, alpha, zero_scan_tmax=tmax)
     config = {
         "alpha": _alpha_config(alpha), "f": _format_f(f),
         "q": f.period, "tmax": tmax,
     }
-    return make_report("classify", config, report.to_json(), seed)
+    return make_report("classify", config, nonvanishing_verdict(f, alpha, tmax), seed)
 
 
 def cmd_factor_ideals(args, seed):
@@ -470,14 +470,11 @@ def _zero_evaluator(f, alpha):
 def cmd_zeros(args, seed):
     f = _parse_f(args)
     alpha = _parse_alpha(args, allow_float=True)
-    s1, s2, t1, t2 = args.rect
-    rect = Rectangle(s1, s2, t1, t2)
-    if s1 <= 1:  # a pole at s = 1 would cancel the winding of a zero
-        raise ValueError("zero searches live strictly in sigma > 1")
+    rect = Rectangle(*args.rect)
     F = _zero_evaluator(f, alpha)
     config = {
         "alpha": _alpha_config(alpha), "f": _format_f(f),
-        "q": f.period, "rect": [s1, s2, t1, t2], "grid": args.grid,
+        "q": f.period, "rect": list(args.rect), "grid": args.grid,
     }
     if args.grid:
         search = zero_search(F, rect, _grid_dims(args.grid))
@@ -592,6 +589,7 @@ def _recheck(payload, fraction, seed):
         elif "value_str" in rebuilt and not _value_strs_agree(results, rebuilt, digits):
             mismatches.append("value_str")
     elif command == "zeros":
+        require_half_plane(Rectangle(*config["rect"]))  # whatever cells are sampled
         F = _zero_evaluator(_f_from_config(config), _alpha_from_config(config))
         zeros = [complex(zj["sigma"], zj["t"]) for zj in results.get("zeros", [])]
         for z in sample(zeros):

@@ -26,9 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import PeriodicFunction, divisors
+from .arith import PeriodicFunction, divisors, factorize
 from .characters import DirichletCharacter, characters_mod, euler_phi
 from .cyclo import Cyclo
+from .ideals import AlgebraicAlpha
+from .zeros import dirichlet_polynomial_zeros
 
 IS_PL = "IsPL"
 NOT_PL = "NotPL"
@@ -71,10 +73,6 @@ class DecompositionResult:
     terms: tuple  # ((DirichletCharacter primitive, ((n, canonical Cyclo), ...)), ...)
     verification_period: int
     verified: bool
-
-    @property
-    def characters(self):
-        return [chi for chi, _ in self.terms]
 
     def coefficient(self, m: int) -> Cyclo:
         """Coefficient of m^(-s) of the recombined series, exactly."""
@@ -162,8 +160,6 @@ def decompose(g: PeriodicFunction) -> DecompositionResult:
 
 @lru_cache(maxsize=None)
 def _prime_divisors(n):
-    from .arith import factorize
-
     return tuple(p for p, _ in factorize(n).factors)
 
 
@@ -221,7 +217,7 @@ def detect_pl_form(g: PeriodicFunction, decomposition: DecompositionResult | Non
             NOT_PL,
             MULTIPLE_CHARACTERS,
             verification_period=dec.verification_period,
-            conductors=tuple(chi.modulus for chi in dec.characters),
+            conductors=tuple(chi.modulus for chi, _ in dec.terms),
         )
     (chi, poly), = dec.terms
     return PLCertificate(
@@ -237,90 +233,56 @@ def detect_pl_form(g: PeriodicFunction, decomposition: DecompositionResult | Non
 # the headline decision
 
 
-@dataclass(frozen=True)
-class VerdictReport:
-    alpha_kind: str
-    alpha_desc: str
-    verdict: str
-    evidence: tuple
-    certificate: PLCertificate | None = None
-    lift_prefactor: int = 1  # F = prefactor^s * (analyzed series)
-    polynomial_zeros: tuple = ()
-    scan_region: tuple | None = None
-
-    def to_json(self):
-        out = {
-            "alpha_kind": self.alpha_kind,
-            "alpha": self.alpha_desc,
-            "verdict": self.verdict,
-            "evidence": list(self.evidence),
-            "lift_prefactor": self.lift_prefactor,
-        }
-        if self.certificate is not None:
-            cert = {
-                "verdict": self.certificate.verdict,
-                "proof": self.certificate.proof_kind,
-            }
-            if self.certificate.obstruction:
-                cert["obstruction"] = list(self.certificate.obstruction)
-            if self.certificate.conductors:
-                cert["conductors"] = list(self.certificate.conductors)
-            if self.certificate.verdict == IS_PL:
-                cert["character_modulus"] = self.certificate.character.modulus
-                cert["polynomial"] = {
-                    str(n): c.to_json() for n, c in self.certificate.polynomial_support
-                }
-                cert["verification_period"] = self.certificate.verification_period
-            out["certificate"] = cert
-        if self.scan_region is not None:
-            out["scan_region"] = list(self.scan_region)
-            out["polynomial_zeros"] = [[z.real, z.imag] for z in self.polynomial_zeros]
-        return out
-
-
-def nonvanishing_verdict(f: PeriodicFunction, alpha, zero_scan_tmax: float = 30.0) -> VerdictReport:
-    """Decide whether F(s,f,alpha) must have zeros in sigma > 1.
+def nonvanishing_verdict(f: PeriodicFunction, alpha, zero_scan_tmax: float = 30.0) -> dict:
+    """Decide whether F(s,f,alpha) must have zeros in sigma > 1; returns the
+    `results` dict of a `classify` report.
 
     Rational shifts with denominator > 2 and algebraic irrational shifts
     always do.  For alpha in {1, 1/2} the decision runs through the exact
-    P*L detector; a product form is reported with the zero set of its
-    polynomial factor searched by winding (the L factor never vanishes in
-    the half-plane).
+    P*L detector, whose certificate the dict carries; a product form is
+    reported with the zero set of its polynomial factor searched by winding
+    (the L factor never vanishes in the half-plane), as `scan_region` and
+    `polynomial_zeros` ([re, im] pairs).
     """
-    from .ideals import AlgebraicAlpha
-
     if isinstance(alpha, AlgebraicAlpha):
-        return VerdictReport(
-            "algebraic-irrational",
-            str(alpha),
-            VERDICT_INFINITE,
-            (
+        return {
+            "alpha_kind": "algebraic-irrational",
+            "alpha": str(alpha),
+            "verdict": VERDICT_INFINITE,
+            "evidence": [
                 "shift is algebraic irrational in (0,1)",
                 "coefficients are periodic and not identically zero",
                 "a unimodular completely multiplicative twist can cancel the series",
-            ),
-        )
+            ],
+            "lift_prefactor": 1,
+        }
     series, prefactor = rational_series(f, alpha)
-    desc = str(alpha)  # "1" or "a/b"
-
     cert = detect_pl_form(series)
+    certificate = {"verdict": cert.verdict, "proof": cert.proof_kind}
+    results = {"alpha_kind": "rational", "alpha": str(alpha),  # "1" or "a/b"
+               "lift_prefactor": prefactor, "certificate": certificate}
     if cert.verdict == NOT_PL:
         evidence = ["series coefficients are periodic and not identically zero"]
         if cert.proof_kind == RESIDUE_OBSTRUCTION:
             h, r = cert.obstruction
+            certificate["obstruction"] = [h, r]
             evidence.append(
                 f"support lies in the class {h} mod {r} with r > 2, "
                 "so no P(s)L(s,chi) form exists"
             )
         else:
+            certificate["conductors"] = list(cert.conductors)
             evidence.append(
                 f"the unique decomposition has {len(cert.conductors)} primitive-character "
                 f"terms (conductors {list(cert.conductors)}), so no P(s)L(s,chi) form exists"
             )
         evidence.append("a series that is not P(s)L(s,chi) vanishes somewhere in sigma > 1")
-        return VerdictReport("rational", desc, VERDICT_INFINITE, tuple(evidence), cert, prefactor)
+        return {**results, "verdict": VERDICT_INFINITE, "evidence": evidence}
 
     # product form: zeros in sigma > 1 can only come from the polynomial factor
+    certificate["character_modulus"] = cert.character.modulus
+    certificate["polynomial"] = {str(n): c.to_json() for n, c in cert.polynomial_support}
+    certificate["verification_period"] = cert.verification_period
     poly = {n: complex(c) for n, c in cert.polynomial_support}
     evidence = [
         f"series = P(s) * L(s, chi mod {cert.character.modulus}) with "
@@ -328,22 +290,17 @@ def nonvanishing_verdict(f: PeriodicFunction, alpha, zero_scan_tmax: float = 30.
         "L(s, chi) has no zeros with sigma > 1 (Euler product)",
     ]
     if len(poly) == 1:
-        return VerdictReport(
-            "rational", desc, VERDICT_ZERO_FREE_FORM,
-            tuple(evidence + ["P is a single term, hence nonvanishing"]),
-            cert, prefactor,
-        )
-    from .zeros import dirichlet_polynomial_zeros
-
+        evidence.append("P is a single term, hence nonvanishing")
+        return {**results, "verdict": VERDICT_ZERO_FREE_FORM, "evidence": evidence}
     zeros, region = dirichlet_polynomial_zeros(poly, t_max=zero_scan_tmax)
     if zeros:
         evidence.append(f"P vanishes inside the scanned region {region}")
-        return VerdictReport(
-            "rational", desc, VERDICT_ZEROS_FROM_POLY, tuple(evidence),
-            cert, prefactor, tuple(zeros), region,
-        )
-    evidence.append(f"no zeros of P found in the scanned region {region}")
-    return VerdictReport(
-        "rational", desc, VERDICT_ZERO_FREE_FORM, tuple(evidence),
-        cert, prefactor, (), region,
-    )
+    else:
+        evidence.append(f"no zeros of P found in the scanned region {region}")
+    return {
+        **results,
+        "verdict": VERDICT_ZEROS_FROM_POLY if zeros else VERDICT_ZERO_FREE_FORM,
+        "evidence": evidence,
+        "scan_region": list(region),
+        "polynomial_zeros": [[z.real, z.imag] for z in zeros],
+    }

@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .arith import PeriodicFunction
-from .zeta import EXPLORE, PrecisionProfile, f_eval, hurwitz_zeta
+from .zeta import EXPLORE, f_eval, hurwitz_zeta
 
 REL_MODULUS_FLOOR = 1e-12
 MAX_EDGE_DEPTH = 20
@@ -81,18 +81,29 @@ class WindingResult:
     unresolved: int = 0  # winding not accounted for by refined_zeros
 
 
+def require_half_plane(rect: Rectangle):
+    """Raise ValueError unless the rectangle lies in sigma > 1: a pole at
+    s = 1 inside it would cancel the winding of a zero."""
+    if rect.sigma_min <= 1:
+        raise ValueError("zero searches live strictly in sigma > 1")
+
+
 def winding_number(series, rect: Rectangle) -> WindingResult:
     """Track arg F around the rectangle boundary, counterclockwise.
 
-    `series` is any callable s -> complex.  The total phase change must
-    close up to a multiple of 2*pi within 1e-6; the winding is that
-    multiple.  Raises BoundaryTooCloseToZero when |F| dips under 1e-12 of
-    the boundary maximum or a phase jump survives 20 subdivision levels.
+    `series` is any callable s -> complex.  The rectangle must lie in
+    sigma > 1 (`require_half_plane`, checked before any evaluation), so
+    every wound rectangle, retry padding included, stays off the pole.
+    The total phase change must close up to a multiple of 2*pi within
+    1e-6; the winding is that multiple.  Raises BoundaryTooCloseToZero when
+    |F| dips under 1e-12 of the boundary maximum or a phase jump survives
+    20 subdivision levels.
 
     Each edge is first sampled at `_edge_steps` equal steps; only a step
     whose phase change is not under pi/2 (or that meets an exact zero) is
     handed to `_tracked_delta` to be halved.
     """
+    require_half_plane(rect)
     corners = rect.corners()
     probed = [complex(series(z)) for z in corners]
     total = 0.0
@@ -201,8 +212,6 @@ def zero_search(series, region: Rectangle, grid=(4, 8), zero_free=None) -> ZeroS
     reads `series` through one table (`_evaluated_once`): each distinct
     point is evaluated once, while each cell's `samples` still counts every
     sample its boundary used."""
-    if region.sigma_min <= 1:
-        raise ValueError("zero searches live strictly in sigma > 1")
     nx, ny = grid
     if nx < 1 or ny < 1:
         raise ValueError(f"grid dimensions must be positive, got {nx}x{ny}")
@@ -232,10 +241,13 @@ def zero_search(series, region: Rectangle, grid=(4, 8), zero_free=None) -> ZeroS
 
 
 def _wind_with_retries(series, cell, dx, dy):
+    """Wind the cell, padded outward a little more after each boundary
+    failure; sigma is padded by at most half the cell's distance to 1."""
     pad = 0.0
     for attempt in range(6):
+        rect = cell.padded(min(pad, (cell.sigma_min - 1) / 2), pad) if pad else cell
         try:
-            return winding_number(series, cell.padded(pad, pad) if pad else cell)
+            return winding_number(series, rect)
         except BoundaryTooCloseToZero:
             pad = (pad + 0.013 * min(dx, dy)) * 1.7
     raise BoundaryTooCloseToZero(
@@ -287,11 +299,11 @@ def _refine(series, cell, winding, depth=0):
     return zeros, winding - len(zeros)
 
 
-def _dedupe(found, tol=ZERO_TOL):
-    """Zeros sorted by (t, sigma), keeping the first of zeros within tol."""
+def _dedupe(found):
+    """Zeros sorted by (t, sigma), keeping the first of zeros within ZERO_TOL."""
     out = []
     for z in sorted(found, key=lambda z: (z.imag, z.real)):
-        if all(abs(z - w) > tol for w in out):
+        if all(abs(z - w) > ZERO_TOL for w in out):
             out.append(z)
     return out
 
@@ -300,46 +312,37 @@ def _dedupe(found, tol=ZERO_TOL):
 # evaluators
 
 
-def periodic_series_evaluator(f: PeriodicFunction, alpha, prof: PrecisionProfile = EXPLORE):
+def periodic_series_evaluator(f: PeriodicFunction, alpha):
     """s -> F(s, f, alpha) by per-class Euler-Maclaurin (any real shift)."""
 
     def F(s):
-        return complex(f_eval(s, f, alpha, prof).value)
+        return complex(f_eval(s, f, alpha, EXPLORE).value)
 
     return F
 
 
-def dirichlet_l_evaluator(chi, prof: PrecisionProfile = EXPLORE):
-    """s -> L(s, chi) via conductor-level Hurwitz zetas."""
-    k = chi.modulus
-    table = [(chi(r), r / k if r < k else 1.0) for r in range(1, k + 1) if chi(r) != 0]
-
-    def L(s):
-        total = 0j
-        for c, x in table:
-            total += c * complex(hurwitz_zeta(s, x, prof).value)
-        return k ** (-complex(s)) * total
-
-    return L
-
-
-def decomposition_evaluator(decomp, prefactor: int = 1, prof: PrecisionProfile = EXPLORE):
+def decomposition_evaluator(decomp, prefactor: int = 1):
     """s -> prefactor^s * sum_chi P_chi(s) L(s, chi) from a DecompositionResult.
 
-    For rational shifts this is the preferred evaluator: the character
-    count is small and each L-function needs only conductor-many Hurwitz
-    evaluations."""
+    Each L(s, chi) is k^-s sum_r chi(r) zeta(s, r/k) over the residues r
+    of its conductor k with chi(r) != 0 (r = k taken as shift 1.0), so it
+    costs conductor-many Hurwitz evaluations; for rational shifts this is
+    the preferred evaluator, as the character count is small."""
     pieces = []
     for chi, poly in decomp.terms:
-        coeffs = [(n, complex(c)) for n, c in poly]
-        pieces.append((dirichlet_l_evaluator(chi, prof), coeffs))
+        k = chi.modulus
+        residues = [(chi(r), r / k if r < k else 1.0) for r in range(1, k + 1) if chi(r) != 0]
+        pieces.append((k, residues, [(n, complex(c)) for n, c in poly]))
 
     def F(s):
         sc = complex(s)
         total = 0j
-        for L, coeffs in pieces:
+        for k, residues, coeffs in pieces:
             p = sum(c * n ** (-sc) for n, c in coeffs)
-            total += p * L(sc)
+            L = 0j
+            for c, x in residues:
+                L += c * complex(hurwitz_zeta(sc, x, EXPLORE).value)
+            total += p * (k ** (-sc) * L)
         if prefactor != 1:
             total *= prefactor**sc
         return total
@@ -358,15 +361,18 @@ def polynomial_evaluator(poly: dict):
     return P
 
 
-def polynomial_sigma_bound(poly: dict, margin: float = 0.5) -> float:
+def polynomial_sigma_bound(poly: dict) -> float:
     """A sigma beyond which the least-index term dominates, so the
-    polynomial cannot vanish; zeros with sigma > 1 all sit below this."""
+    polynomial cannot vanish; zeros with sigma > 1 all sit below this.
+
+    It is the first sigma on the grid 1.5, 2, ..., 79.5 at which the other
+    terms together weigh at most half the least-index one (80.0 if none)."""
     items = sorted((n, abs(complex(c))) for n, c in poly.items())
     n1, a1 = items[0]
     sigma = 1.5
     while sigma < 80:
         tail = sum(a * (n / n1) ** (-sigma) for n, a in items[1:])
-        if tail <= margin * a1:
+        if tail <= 0.5 * a1:
             return sigma
         sigma += 0.5
     return 80.0
@@ -411,8 +417,8 @@ def _polynomial_zero_free(poly: dict):
     return bound
 
 
-def dirichlet_polynomial_zeros(poly: dict, t_max: float = 30.0, sigma_min: float = 1.01):
-    """All zeros of the Dirichlet polynomial in [sigma_min, sigma_bound] x
+def dirichlet_polynomial_zeros(poly: dict, t_max: float = 30.0):
+    """All zeros of the Dirichlet polynomial in [1.01, sigma_bound] x
     [0, t_max], found by winding; returns (zeros, region tuple).  Raises
     UnresolvedZeros when cells wind but no zero was located.
 
@@ -420,6 +426,7 @@ def dirichlet_polynomial_zeros(poly: dict, t_max: float = 30.0, sigma_min: float
     scan only dips slightly below t = 0 (to catch real zeros) and reports
     the t >= 0 representatives; complex coefficients get the full
     symmetric t range."""
+    sigma_min = 1.01
     if len(poly) <= 1:
         return [], (sigma_min, sigma_min, 0.0, t_max)
     real_coeffs = all(abs(complex(c).imag) < 1e-15 for c in poly.values())

@@ -212,6 +212,39 @@ def test_zeros_rect_reaching_sigma_1_is_refused(tmp_path, capsys, grid):
     assert "zero searches live strictly in sigma > 1" in capsys.readouterr().err
 
 
+def test_zeros_retry_padding_stays_in_half_plane(tmp_path):
+    # the zero log2(2.07) lies on the region's bottom edge, so the cell is
+    # retried padded; padding sigma by the full pad once carried it to
+    # sigma_min 0.999171, where the pole at s = 1 cancelled the zero's winding
+    code, payload = run_cli(["zeros", "--alpha", "1", "--f", "1,-107/100", "--q", "2",
+                             "--rect", "1.01,1.5,0,5", "--grid", "1x1"], tmp_path)
+    assert code == 0
+    res = payload["results"]
+    assert len(res["cells"]) == 1 and res["cells"][0]["winding"] == 1
+    assert all(c["rect"][0] > 1 for c in res["cells"])
+    (z,) = res["zeros"]
+    assert abs(complex(z["sigma"], z["t"]) - math.log2(2.07)) < 1e-6
+
+
+@pytest.mark.parametrize("grid", [None, "1x1"], ids=["plain", "grid"])
+def test_verify_refuses_zeros_report_reaching_sigma_1(tmp_path, capsys, grid):
+    # the pole at s = 1 cancels the zero at log2(3), so re-winding the rect
+    # used to confirm winding 0 and both reports verified
+    rect = [0.5, 1.9, -0.5, 0.5]
+    results = {"winding": 0, "min_boundary_modulus": 0.1, "samples": 40}
+    if grid:
+        results = {"cells": [{**results, "rect": rect, "unresolved": 0}], "zeros": []}
+    config = {"alpha": {"kind": "rational", "value": "1/1"}, "f": ["1", "-2"], "q": 2,
+              "rect": rect, "grid": grid}
+    report = tmp_path / "zeros.json"
+    report.write_text(json.dumps({"schema": SCHEMA_VERSION, "command": "zeros", "config": config,
+                                  "seed": 0, "timestamp": "", "results": results}))
+    out = tmp_path / "verify.json"
+    assert main(["verify", str(report), "--output", str(out)]) == 1
+    assert "zero searches live strictly in sigma > 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("span", ["10..0", "5", "a..b", "-1..3", "0..5..9"])
 def test_factor_ideals_bad_range_is_usage_error(tmp_path, capsys, span):
     # "10..0" used to exit 0 with no rows, "5" with "not enough values to unpack"
@@ -305,6 +338,29 @@ def test_classify_examples(tmp_path):
     res = payload["results"]
     assert res["verdict"].startswith("zeros exist")
     assert abs(res["polynomial_zeros"][0][0] - math.log2(3)) < 1e-6
+
+
+PL_KEYS = {"character_modulus", "polynomial", "verification_period"}
+SCAN_KEYS = {"scan_region", "polynomial_zeros"}
+
+
+@pytest.mark.parametrize("flags, keys, certificate_keys", [
+    ([*ALPHA_FLAGS, "--f", "1"], set(), None),
+    (["--alpha", "1/3", "--f", "1"], {"certificate"}, {"obstruction"}),
+    (["--alpha", "1", "--f", "1,2,1", "--q", "3"], {"certificate"}, {"conductors"}),
+    (["--alpha", "1", "--f", "1,0,-1,0", "--q", "4"], {"certificate"}, PL_KEYS),
+    (["--alpha", "1", "--f", "1,-1", "--q", "2"], {"certificate", *SCAN_KEYS}, PL_KEYS),
+    (["--alpha", "1", "--f", "1,-2", "--q", "2"], {"certificate", *SCAN_KEYS}, PL_KEYS),
+], ids=["algebraic", "obstruction", "conductors", "single-term", "scan-empty", "scan-zeros"])
+def test_classify_payload_keys_per_route(tmp_path, flags, keys, certificate_keys):
+    code, payload = run_cli(["classify", *flags], tmp_path)
+    assert code == 0
+    res = payload["results"]
+    assert set(res) == {"alpha", "alpha_kind", "evidence", "lift_prefactor", "verdict"} | keys
+    if certificate_keys:
+        assert set(res["certificate"]) == {"verdict", "proof"} | certificate_keys
+    if "polynomial_zeros" in res:  # P = 1 - 2 2^-s vanishes only on sigma = 1
+        assert (res["polynomial_zeros"] == []) == (flags[3] == "1,-1")
 
 
 def test_classify_untyped_float_rejected(tmp_path):
