@@ -35,14 +35,24 @@ from .construction import (
 )
 from .density import EmptyWindow, WindowSpec, density_sweep, private_prime_scan, sweep_results
 from .ideals import AlgebraicAlpha, ideal_factorize, ideal_factorize_many, norm_value
-from .structure import UnsupportedAlpha, decompose, detect_pl_form, nonvanishing_verdict, rational_series
+from .structure import (
+    IS_PL,
+    UnsupportedAlpha,
+    decompose,
+    detect_pl_form,
+    nonvanishing_verdict,
+    rational_series,
+)
 from .zeros import (
     BoundaryTooCloseToZero,
     Rectangle,
     ZERO_TOL,
     UnresolvedZeros,
+    _polynomial_zero_free,
     decomposition_evaluator,
     periodic_series_evaluator,
+    polished_zero,
+    polynomial_evaluator,
     require_half_plane,
     winding_number,
     zero_search,
@@ -55,7 +65,7 @@ from .zeta import (
     f_eval,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class SchemaMismatch(Exception):
@@ -460,25 +470,47 @@ def cmd_construct_phi(args, seed):
 
 
 def _zero_evaluator(f, alpha):
+    """(F, P): the series evaluator, and for a rational alpha whose series
+    is b^s P(s) L(s, chi) the coefficients {n: c_n} of P, else None.  In
+    sigma > 1, b^s and L (an absolutely convergent Euler product) do not
+    vanish, so F and P have the same zeros and the same winding."""
     if isinstance(alpha, Fraction):
         series, prefactor = rational_series(f, alpha)
         dec = decompose(series)
-        return decomposition_evaluator(dec, prefactor)
-    return periodic_series_evaluator(f, _alpha_real(alpha))
+        F = decomposition_evaluator(dec, prefactor)
+        cert = detect_pl_form(series, dec)
+        if cert.verdict == IS_PL:
+            return F, {n: complex(c) for n, c in cert.polynomial_support}
+        return F, None
+    return periodic_series_evaluator(f, _alpha_real(alpha)), None
 
 
 def cmd_zeros(args, seed):
     f = _parse_f(args)
     alpha = _parse_alpha(args, allow_float=True)
     rect = Rectangle(*args.rect)
-    F = _zero_evaluator(f, alpha)
+    F, poly = _zero_evaluator(f, alpha)
     config = {
         "alpha": _alpha_config(alpha), "f": _format_f(f),
         "q": f.period, "rect": list(args.rect), "grid": args.grid,
     }
+    if poly is None:
+        searched, zero_free, label = F, None, "series"
+    else:
+        require_half_plane(rect)  # before F is read outside sigma > 1
+        # F at the corner of largest |t| keeps F's input domain (a t past
+        # the Euler-Maclaurin head cap is refused) before P is wound
+        F(max(rect.corners(), key=lambda z: (abs(z.imag), -z.real)))
+        searched, zero_free, label = (polynomial_evaluator(poly), _polynomial_zero_free(poly),
+                                      "polynomial factor")
     if args.grid:
-        search = zero_search(F, rect, _grid_dims(args.grid))
+        search = zero_search(searched, rect, _grid_dims(args.grid), zero_free)
+        zeros, residuals = search.zeros, search.residuals
+        if poly is not None:  # polished on P, each residual still |F|
+            zeros = [polished_zero(poly, z) for z in zeros]
+            residuals = [abs(F(z)) for z in zeros]
         results = {
+            "searched": label,
             "cells": [
                 {
                     "rect": list(c.rectangle.as_tuple()),
@@ -491,15 +523,16 @@ def cmd_zeros(args, seed):
             ],
             "zeros": [
                 {"sigma": z.real, "t": z.imag, "residual": r}
-                for z, r in zip(search.zeros, search.residuals)
+                for z, r in zip(zeros, residuals)
             ],
         }
         if args.csv:
             _write_csv(args.csv, ("sigma", "t", "residual"),
-                       [(z.real, z.imag, r) for z, r in zip(search.zeros, search.residuals)])
+                       [(z.real, z.imag, r) for z, r in zip(zeros, residuals)])
     else:
-        res = winding_number(F, rect)
+        res = winding_number(searched, rect)
         results = {
+            "searched": label,
             "winding": res.winding,
             "min_boundary_modulus": res.min_boundary_modulus,
             "samples": res.samples,
@@ -590,7 +623,7 @@ def _recheck(payload, fraction, seed):
             mismatches.append("value_str")
     elif command == "zeros":
         require_half_plane(Rectangle(*config["rect"]))  # whatever cells are sampled
-        F = _zero_evaluator(_f_from_config(config), _alpha_from_config(config))
+        F, _ = _zero_evaluator(_f_from_config(config), _alpha_from_config(config))
         zeros = [complex(zj["sigma"], zj["t"]) for zj in results.get("zeros", [])]
         for z in sample(zeros):
             checked += 1

@@ -175,6 +175,7 @@ class ZeroSearchResult:
 RESIDUAL_TARGET = 1e-8
 MAX_REFINE_DEPTH = 6
 ZERO_TOL = 1e-6  # zeros closer than this are one; a zero this far out of a cell is in it
+MAX_POLISH_STEPS = 8
 
 _point_bits = struct.Struct("<2d").pack
 
@@ -207,6 +208,8 @@ def zero_search(series, region: Rectangle, grid=(4, 8), zero_free=None) -> ZeroS
     |F| over the closed cell, or None.  A cell with a bound is not wound:
     it is recorded as `WindingResult(cell, 0, m, 0)`.  The predicate must
     only bound cells that `winding_number` would wind to 0 without raising.
+    The region must lie in sigma > 1 (`require_half_plane`, checked before
+    the first cell), so a cell the predicate bounds is held to it too.
 
     Adjacent cells share corners and edge samples, so the whole search
     reads `series` through one table (`_evaluated_once`): each distinct
@@ -215,6 +218,7 @@ def zero_search(series, region: Rectangle, grid=(4, 8), zero_free=None) -> ZeroS
     nx, ny = grid
     if nx < 1 or ny < 1:
         raise ValueError(f"grid dimensions must be positive, got {nx}x{ny}")
+    require_half_plane(region)
     dx = (region.sigma_max - region.sigma_min) / nx
     dy = (region.t_max - region.t_min) / ny
     series = _evaluated_once(series)
@@ -359,6 +363,29 @@ def polynomial_evaluator(poly: dict):
         return sum(c * n ** (-sc) for n, c in items)
 
     return P
+
+
+def polished_zero(poly: dict, z):
+    """A zero z of P(s) = sum c_n n^-s located by `_refine`, polished by
+    Newton steps with the exact P'(s) = -sum c_n log n n^-s while |P|
+    keeps decreasing; z itself if the polished point moved more than
+    ZERO_TOL (it would then be another zero's)."""
+    items = [(n, complex(c), math.log(n)) for n, c in poly.items()]
+
+    def value_and_slope(s):
+        terms = [(c * n ** -s, log_n) for n, c, log_n in items]
+        return sum(v for v, _ in terms), -sum(v * log_n for v, log_n in terms)
+
+    best, (p, dp) = z, value_and_slope(z)
+    for _ in range(MAX_POLISH_STEPS):
+        if not dp:
+            break
+        w = best - p / dp
+        pw, dpw = value_and_slope(w)
+        if not abs(pw) < abs(p):
+            break
+        best, p, dp = w, pw, dpw
+    return best if abs(best - z) <= ZERO_TOL else z
 
 
 def polynomial_sigma_bound(poly: dict) -> float:

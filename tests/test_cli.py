@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import ANY
 
@@ -10,9 +11,10 @@ import mpmath
 import pytest
 
 import ghzeta
-from ghzeta.cli import SCHEMA_VERSION, main
+from ghzeta.cli import SCHEMA_VERSION, _f_from_config, main
 from ghzeta.ideals import ideal_factorize, norm_value
-from oracles import fixtures
+from ghzeta.zeros import Rectangle, periodic_series_evaluator
+from oracles import fixtures, winding_reference
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -582,6 +584,72 @@ def test_zeros_winding_only_report_is_rewound(tmp_path):
     bad.write_text(json.dumps(payload))
     code, vr = _verify(bad, tmp_path)
     assert code == 2 and vr["results"]["mismatches"] == [["winding", [1.4, 1.8, 8.0, 10.0]]]
+
+
+# P(s) L(s, chi_d) with P = 1 - 3 2^-s (zeros on sigma = log2 3) for
+# d = 1, -3, -4, and the alpha = 1/2 lift 2^s (1 - 5 3^-s) L(s, chi_4)
+PL_ROUTES = {
+    "d=1": (["--alpha", "1", "--f", "1,-2", "--q", "2"], "1.2,2.0,-1,12"),
+    "d=-3": (["--alpha", "1", "--f", "1,-4,0,4,-1,0", "--q", "6"], "1.2,2.0,-1,12"),
+    "d=-4": (["--alpha", "1", "--f", "1,-3,-1,0,1,3,-1,0", "--q", "8"], "1.2,2.0,-1,12"),
+    "lift": (["--alpha", "1/2", "--f=1,-6,1,-1,6,-1", "--q", "6"], "1.2,1.8,0,12"),
+}
+
+
+@pytest.mark.parametrize("route", list(PL_ROUTES))
+def test_zeros_polynomial_route_winds_as_the_series(tmp_path, route):
+    flags, rect = PL_ROUTES[route]
+    code, payload = run_cli(["zeros", *flags, "--rect", rect, "--grid", "4x2"], tmp_path)
+    assert code == 0
+    res = payload["results"]
+    assert res["searched"] == "polynomial factor"
+    config = payload["config"]  # F summed class by class, not through P and L
+    F = periodic_series_evaluator(_f_from_config(config), float(Fraction(config["alpha"]["value"])))
+    for cell in res["cells"]:  # certified cells (samples 0) included
+        assert winding_reference(F, Rectangle(*cell["rect"])).winding == cell["winding"], cell
+    assert any(c["samples"] == 0 for c in res["cells"])
+    assert any(c["winding"] for c in res["cells"])
+    assert res["zeros"] and all(z["residual"] <= 1e-8 for z in res["zeros"])
+    assert _verify(tmp_path / "report.json", tmp_path)[1]["results"]["ok"]
+
+
+def test_zeros_single_term_polynomial_certifies_every_cell(tmp_path):
+    # F = zeta(s): P = 1, so no cell is wound and no zero is listed
+    code, payload = run_cli(["zeros", "--alpha", "1", "--f", "1", "--rect", "1.1,2,0,20",
+                             "--grid", "2x4"], tmp_path)
+    assert code == 0
+    res = payload["results"]
+    assert res["searched"] == "polynomial factor" and res["zeros"] == []
+    assert len(res["cells"]) == 8
+    for cell in res["cells"]:
+        assert (cell["winding"], cell["samples"], cell["unresolved"]) == (0, 0, 0)
+        assert 0 < cell["min_boundary_modulus"] <= 1
+
+
+@pytest.mark.parametrize("rect, grid", [("1.01,1.5,0,5", "1x1"), ("1.02,1.6,0,30", "2x4")])
+def test_zeros_polynomial_route_residual_is_the_series_at_target(tmp_path, rect, grid):
+    # at sigma ~ 1.05, |F| ~ 20 |P|: on 2x4 the secant's end point has
+    # |P| < 1e-8 but |F| = 1.5e-8, so the zero is polished on P
+    code, payload = run_cli(["zeros", "--alpha", "1", "--f", "1,-107/100", "--q", "2",
+                             "--rect", rect, "--grid", grid], tmp_path)
+    assert code == 0
+    zeros = payload["results"]["zeros"]
+    assert abs(complex(zeros[0]["sigma"], zeros[0]["t"]) - math.log2(2.07)) < 1e-9
+    assert all(z["residual"] <= 1e-8 for z in zeros)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "1", "--f", "1,2,3", "--q", "3"],  # MultipleCharacters
+    ["--alpha", "1/3", "--f", "1,-1"],  # ResidueObstruction
+    ["--alpha", "0.5", "--f", "1,-3", "--q", "2"],  # untyped float
+], ids=["two-characters", "obstructed", "float"])
+@pytest.mark.parametrize("grid", [[], ["--grid", "2x2"]], ids=["plain", "grid"])
+def test_zeros_series_route_when_not_a_product(tmp_path, flags, grid):
+    code, payload = run_cli(["zeros", *flags, "--rect", "1.2,1.8,0.5,4", *grid], tmp_path)
+    assert code == 0
+    res = payload["results"]
+    assert res["searched"] == "series"
+    assert all(c["samples"] > 0 for c in res.get("cells", [res]))
 
 
 def test_classify_unresolved_scan_is_domain_error(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from ghzeta.zeros import (
     decomposition_evaluator,
     dirichlet_polynomial_zeros,
     periodic_series_evaluator,
+    polished_zero,
     polynomial_evaluator,
     polynomial_sigma_bound,
     winding_number,
@@ -116,6 +117,37 @@ def test_zero_search_hurwitz_half_zero_free():
 def test_zero_search_requires_half_plane():
     with pytest.raises(ValueError):
         zero_search(FIX, Rectangle(0.9, 2.0, 0, 5), (2, 2))
+
+
+@pytest.mark.parametrize("sigma_min", [0.5, 1.0])
+def test_zero_free_seam_does_not_lift_the_half_plane_rule(sigma_min):
+    # a seam that bounds every cell leaves none to wind, so the rule must be
+    # checked on the region before the first cell
+    seen = []
+
+    def series(z):
+        seen.append(z)
+        return 1.0
+
+    with pytest.raises(ValueError, match="zero searches live strictly in sigma > 1"):
+        zero_search(series, Rectangle(sigma_min, 1.9, 0, 5), (1, 1), lambda cell: seen.append(cell) or 1.0)
+    assert seen == []
+
+
+def test_polished_zero_reaches_the_float_floor():
+    poly = {1: 1, 2: -3}
+    P = polynomial_evaluator(poly)
+    for k in range(3):
+        w = complex(LOG2_3, k * T_STEP)
+        z = polished_zero(poly, w + complex(3e-9, -2e-9))
+        assert abs(z - w) < 1e-13 and abs(P(z)) < 1e-14
+
+
+def test_polished_zero_keeps_a_point_newton_carries_away():
+    # Newton from 1e-3 off log2 3 converges there, but farther than
+    # ZERO_TOL from the start, so the start is kept
+    start = complex(LOG2_3 + 1e-3, 0.0)
+    assert polished_zero({1: 1, 2: -3}, start) == start
 
 
 @pytest.mark.parametrize("grid", [(0, 4), (3, -1), (0, 0)])
